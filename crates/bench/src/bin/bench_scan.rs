@@ -1,11 +1,10 @@
 //! Records the scan-kernel perf trajectory as `BENCH_scan.json`.
 //!
-//! Times the same grid as the `scan_kernel` Criterion bench across the
-//! full `--scan-kernel` matrix — interpreted tree walk, compiled
-//! automaton, batched lane-interleaved driver, quantized i16 table, and
-//! the quantized+batched combination — per probe symbol, and writes one
-//! machine-readable JSON file so successive commits can be compared
-//! without parsing Criterion's output directory. Every measurement
+//! Times the same grid as the `scan_kernel` Criterion bench under both
+//! scan kernels — the interpreted tree walk and the compiled automaton —
+//! per probe symbol, and writes one machine-readable JSON file so
+//! successive commits can be compared without parsing Criterion's output
+//! directory. Every measurement
 //! records its median *and* its sample variance, so a regression can be
 //! told apart from a noisy run without re-benching.
 //!
@@ -17,7 +16,7 @@
 //! `--quick` shrinks the probe set and repetition count to a smoke-test
 //! size (CI uses it to prove the harness runs; the numbers are noisy).
 //! The target trajectory for the full run: the compiled kernel ≥2× over
-//! interpreted, and at least one of batched/quantized ≥2× over compiled.
+//! interpreted.
 
 use std::time::Instant;
 
@@ -68,13 +67,7 @@ fn time_rounds(reps: usize, symbols: usize, passes: &[&dyn Fn() -> f64]) -> Vec<
 
 /// The measured kernels, in display order; `main` pairs each name with
 /// its driver closure over the one shared fixture.
-const KERNELS: [&str; 5] = [
-    "interpreted",
-    "compiled",
-    "batched",
-    "quantized",
-    "quantized_batched",
-];
+const KERNELS: [&str; 2] = ["interpreted", "compiled"];
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -84,19 +77,10 @@ fn main() {
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut compiled_speedups = Vec::new();
-    let mut batched_speedups = Vec::new();
-    let mut quantized_speedups = Vec::new();
-    let mut quantized_batched_speedups = Vec::new();
     for cfg in configs() {
         let fx = ScanFixture::build(cfg, probes);
         let symbols = fx.symbols();
-        let passes: [&dyn Fn() -> f64; 5] = [
-            &|| fx.run_interpreted(),
-            &|| fx.run_compiled(),
-            &|| fx.run_batched(),
-            &|| fx.run_quantized(),
-            &|| fx.run_quantized_batched(),
-        ];
+        let passes: [&dyn Fn() -> f64; 2] = [&|| fx.run_interpreted(), &|| fx.run_compiled()];
         for _ in 0..warmup {
             for pass in passes {
                 pass();
@@ -106,26 +90,14 @@ fn main() {
             .into_iter()
             .map(stats)
             .collect();
-        let (interp, compiled, batched, quantized, qbatched) = (
-            measured[0].0,
-            measured[1].0,
-            measured[2].0,
-            measured[3].0,
-            measured[4].0,
-        );
+        let (interp, compiled) = (measured[0].0, measured[1].0);
         compiled_speedups.push(interp / compiled);
-        batched_speedups.push(compiled / batched);
-        quantized_speedups.push(compiled / quantized);
-        quantized_batched_speedups.push(compiled / qbatched);
         rows.push(vec![
             cfg.to_string(),
             fx.compiled.state_count().to_string(),
             format!("{interp:.1}"),
             format!("{compiled:.1}"),
-            format!("{batched:.1}"),
-            format!("{quantized:.1}"),
-            format!("{qbatched:.1}"),
-            format!("{:.2}x", compiled / qbatched),
+            format!("{:.2}x", interp / compiled),
         ]);
         let per_kernel: Vec<String> = KERNELS
             .iter()
@@ -136,37 +108,24 @@ fn main() {
             .collect();
         entries.push(format!(
             "    {{\"config\": \"{cfg}\", \"alphabet\": {}, \"avg_len\": {}, \
-             \"states\": {}, {}, \"speedup\": {:.4}, \
-             \"batched_speedup_vs_compiled\": {:.4}, \
-             \"quantized_speedup_vs_compiled\": {:.4}, \
-             \"quantized_batched_speedup_vs_compiled\": {:.4}}}",
+             \"states\": {}, {}, \"speedup\": {:.4}}}",
             cfg.alphabet,
             cfg.avg_len,
             fx.compiled.state_count(),
             per_kernel.join(", "),
             interp / compiled,
-            compiled / batched,
-            compiled / quantized,
-            compiled / qbatched,
         ));
     }
 
     let median_speedup = median(compiled_speedups);
-    let median_batched = median(batched_speedups);
-    let median_quantized = median(quantized_speedups);
-    let median_qbatched = median(quantized_batched_speedups);
     print_table(
-        "scan kernel matrix (median ns/symbol)",
-        &[
-            "config", "states", "interp", "compiled", "batched", "quant", "q+batch", "q+b/comp",
-        ],
+        "scan kernels (median ns/symbol)",
+        &["config", "states", "interp", "compiled", "speedup"],
         &rows,
     );
     println!(
-        "\nmedian speedups across the grid: compiled {median_speedup:.2}x over interpreted \
-         (target >= 2x); vs compiled: batched {median_batched:.2}x, quantized \
-         {median_quantized:.2}x, quantized+batched {median_qbatched:.2}x (target >= 2x for \
-         batched and/or quantized)"
+        "\nmedian speedup across the grid: compiled {median_speedup:.2}x over interpreted \
+         (target >= 2x)"
     );
 
     let peak_rss = peak_rss_bytes().unwrap_or(0);
@@ -174,9 +133,6 @@ fn main() {
         "{{\n  \"bench\": \"scan_kernel\",\n  \"unit\": \"ns_per_symbol\",\n  \
          \"quick\": {quick},\n  \"peak_rss_bytes\": {peak_rss},\n  \
          \"median_speedup\": {median_speedup:.4},\n  \
-         \"median_batched_speedup_vs_compiled\": {median_batched:.4},\n  \
-         \"median_quantized_speedup_vs_compiled\": {median_quantized:.4},\n  \
-         \"median_quantized_batched_speedup_vs_compiled\": {median_qbatched:.4},\n  \
          \"configs\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

@@ -248,8 +248,11 @@ fn measure_overhead(
     let mut trio_traced = Vec::with_capacity(TRIOS);
     for trio in 0..TRIOS {
         let obs = Arc::new(
-            ServeObs::new(TraceSession::in_memory().shared_arc(), &ObsConfig::default())
-                .expect("open obs"),
+            ServeObs::new(
+                TraceSession::in_memory().shared_arc(),
+                &ObsConfig::default(),
+            )
+            .expect("open obs"),
         );
         let off_a = Server::start(load(), None, config, None).expect("start untraced a");
         let off_b = Server::start(load(), None, config, None).expect("start untraced b");
@@ -355,8 +358,11 @@ fn main() {
         watch_sighup: false,
     };
     let obs = Arc::new(
-        ServeObs::new(TraceSession::in_memory().shared_arc(), &ObsConfig::default())
-            .expect("open obs"),
+        ServeObs::new(
+            TraceSession::in_memory().shared_arc(),
+            &ObsConfig::default(),
+        )
+        .expect("open obs"),
     );
     let trace = Arc::clone(obs.registry());
     let server = Server::start(model, None, &config, Some(obs)).expect("start server");
@@ -390,7 +396,14 @@ fn main() {
     };
     print_table(
         "serve: single-in-flight vs batched concurrent load (traced)",
-        &["phase", "qps", "p50 (us)", "p95 (us)", "p99 (us)", "queue wait (us)"],
+        &[
+            "phase",
+            "qps",
+            "p50 (us)",
+            "p95 (us)",
+            "p99 (us)",
+            "queue wait (us)",
+        ],
         &[
             row("single".into(), &single),
             row(format!("batched x{clients}"), &batched),

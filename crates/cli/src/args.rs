@@ -1,15 +1,22 @@
 //! A minimal `--flag value` argument parser (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
+use std::process::ExitCode;
 
 /// Parsed command line: a subcommand, positional arguments, and
 /// `--key value` / `--switch` options.
+///
+/// Every lookup records the flag name, so once a subcommand has looked up
+/// all the flags it understands, [`Args::reject_unread`] can refuse the
+/// rest instead of silently ignoring them.
 #[derive(Debug, Default)]
 pub struct Args {
     pub command: Option<String>,
     pub positional: Vec<String>,
     options: HashMap<String, String>,
     switches: Vec<String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -41,7 +48,7 @@ impl Args {
     /// A typed option with a default.
     ///
     /// Exits with status 2 on a malformed value, printing the type's own
-    /// parse error (e.g. an unknown `--scan-kernel` name lists the valid
+    /// parse error (e.g. an unknown `--scan-mode` name lists the valid
     /// set). Use [`Args::try_get`] where the caller wants the error
     /// instead of the exit.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T
@@ -60,7 +67,7 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.options.get(key) {
+        match self.get_str(key) {
             Some(raw) => raw.parse().map_err(|e| format!("--{key} {raw}: {e}")),
             None => Ok(default),
         }
@@ -68,12 +75,47 @@ impl Args {
 
     /// A string option.
     pub fn get_str(&self, key: &str) -> Option<&str> {
+        self.mark_read(key);
         self.options.get(key).map(String::as_str)
     }
 
     /// Whether a boolean switch was passed.
     pub fn has(&self, key: &str) -> bool {
+        self.mark_read(key);
         self.switches.iter().any(|s| s == key)
+    }
+
+    fn mark_read(&self, key: &str) {
+        self.read.borrow_mut().insert(key.to_owned());
+    }
+
+    /// The flags on the command line that no lookup has asked for, as
+    /// `--name`, sorted.
+    pub fn unread(&self) -> Vec<String> {
+        let read = self.read.borrow();
+        let given: BTreeSet<&String> = self.options.keys().chain(&self.switches).collect();
+        given
+            .into_iter()
+            .filter(|key| !read.contains(*key))
+            .map(|key| format!("--{key}"))
+            .collect()
+    }
+
+    /// Refuses a command line carrying flags the subcommand did not read:
+    /// prints an error naming each one and returns exit status 2. Call it
+    /// once the subcommand has looked up every flag it understands, before
+    /// it does any work.
+    pub fn reject_unread(&self) -> Result<(), ExitCode> {
+        let unread = self.unread();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        eprintln!(
+            "error: {} does not accept {}",
+            self.command.as_deref().unwrap_or("cluseq"),
+            unread.join(", ")
+        );
+        Err(ExitCode::from(2))
     }
 }
 
@@ -125,18 +167,16 @@ mod tests {
     }
 
     #[test]
-    fn unknown_scan_kernel_error_lists_the_valid_set() {
-        use cluseq_core::ScanKernel;
-        let a = parse("cluster data.txt --scan-kernel warp");
-        let err = a.try_get("scan-kernel", ScanKernel::Compiled).unwrap_err();
-        assert!(err.starts_with("--scan-kernel warp:"), "{err}");
-        for name in ["interpreted", "compiled", "batched", "quantized"] {
-            assert!(err.contains(name), "{err} should list {name}");
-        }
-        // All four valid names parse.
-        for kernel in ScanKernel::ALL {
-            let a = parse(&format!("cluster data.txt --scan-kernel {kernel}"));
-            assert_eq!(a.try_get("scan-kernel", ScanKernel::Compiled), Ok(kernel));
-        }
+    fn unread_names_every_flag_no_lookup_asked_for() {
+        let a = parse("cluster data.txt --seed 3 --scan-kernel quantized --verbose --quiet");
+        assert_eq!(a.get("seed", 0u64), 3);
+        assert!(a.has("verbose"));
+        // Looking up a flag that was not given is harmless.
+        assert!(a.get_str("trace").is_none());
+        assert_eq!(a.unread(), vec!["--quiet", "--scan-kernel"]);
+        assert_eq!(a.reject_unread(), Err(ExitCode::from(2)));
+        assert!(a.has("quiet") && a.get_str("scan-kernel").is_some());
+        assert!(a.unread().is_empty());
+        assert_eq!(a.reject_unread(), Ok(()));
     }
 }

@@ -32,8 +32,7 @@ use cluseq_core::telemetry::{
 };
 use cluseq_core::trace::{sink, summary};
 use cluseq_core::{
-    Checkpoint, Cluseq, CluseqParams, ExaminationOrder, ScanKernel, ScanMode, TraceConfig,
-    TraceSession,
+    Checkpoint, Cluseq, CluseqParams, ExaminationOrder, ScanMode, TraceConfig, TraceSession,
 };
 use cluseq_datagen::{LanguageSpec, ProteinFamilySpec, SyntheticSpec};
 use cluseq_eval::{Confusion, MatchStrategy, Stopwatch};
@@ -68,10 +67,6 @@ SERVE OPTIONS:
                          picks a free port — the bound address is printed)
   --threads N            scoring worker threads per batch (default 1)
   --max-batch N          most requests one scoring batch drains (default 64)
-  --scan-kernel interpreted|compiled|batched|quantized
-                         query scan kernel (default compiled; batched
-                         scores like compiled, quantized trades a bounded
-                         score error for smaller tables)
   --frame-timeout-ms MS  slow-loris cutoff: how long a started request may
                          take to finish arriving (default 5000)
   --metrics-addr ADDR    standalone Prometheus exporter for the serve
@@ -126,17 +121,6 @@ CLUSTERING OPTIONS:
                          paper's immediate model updates, or parallel
                          snapshot scoring with a sequential absorb phase
                          (default incremental)
-  --scan-kernel interpreted|compiled|batched|quantized
-                         similarity-scan implementation: walk the suffix
-                         tree per symbol; compile each cluster model into
-                         a flat transition-table automaton with
-                         precomputed log-ratio tables and threshold
-                         early-exit; scan batches of sequences
-                         interleaved through the compiled tables; or scan
-                         i16 fixed-point tables — interpreted, compiled,
-                         and batched are bit-identical, quantized is
-                         deterministic within a documented error bound
-                         (default compiled)
   --threads N            worker threads for the scoring passes; results
                          are identical for any value (default 1)
   --store memory|file    corpus access: load the whole file into RAM, or
@@ -191,6 +175,9 @@ CLUSTERING OPTIONS:
                          for an ephemeral port; the bound address is
                          printed on startup)
 
+Every subcommand exits with status 2, naming the flag, when given a flag
+it does not read.
+
 FILE FORMATS: text = one sequence per line, one character per symbol, an
 optional `label<TAB>` prefix carrying ground truth (`-` marks a known
 outlier); bin = the CSDB binary format (any alphabet, much faster to
@@ -234,32 +221,59 @@ fn synthetic_spec(args: &Args) -> SyntheticSpec {
     }
 }
 
-fn generate(args: &Args) -> ExitCode {
-    let kind = args.get_str("kind").unwrap_or("synthetic");
-    if args.get_str("format") == Some("bin") {
-        return generate_bin(args, kind);
+/// What `generate --kind` builds, read from the flags that kind uses.
+enum GenerateSpec {
+    Synthetic(SyntheticSpec),
+    Protein(ProteinFamilySpec),
+    Language(LanguageSpec),
+}
+
+impl GenerateSpec {
+    fn from_args(args: &Args) -> Result<Self, ExitCode> {
+        match args.get_str("kind").unwrap_or("synthetic") {
+            "synthetic" => Ok(Self::Synthetic(synthetic_spec(args))),
+            "protein" => Ok(Self::Protein(ProteinFamilySpec {
+                families: args.get("clusters", 10),
+                size_scale: args.get("scale", 0.05),
+                seed: args.get("seed", 2003),
+                ..Default::default()
+            })),
+            "language" => Ok(Self::Language(LanguageSpec {
+                sentences_per_language: args.get("sequences", 600) / 3,
+                noise_sentences: args.get("noise", 100),
+                words_per_sentence: (20, 40),
+                seed: args.get("seed", 2002),
+            })),
+            other => {
+                eprintln!("error: unknown --kind {other:?} (synthetic|protein|language)");
+                Err(ExitCode::from(2))
+            }
+        }
     }
-    let db = match kind {
-        "synthetic" => synthetic_spec(args).generate(),
-        "protein" => ProteinFamilySpec {
-            families: args.get("clusters", 10),
-            size_scale: args.get("scale", 0.05),
-            seed: args.get("seed", 2003),
-            ..Default::default()
+
+    fn generate(&self) -> SequenceDatabase {
+        match self {
+            Self::Synthetic(spec) => spec.generate(),
+            Self::Protein(spec) => spec.generate(),
+            Self::Language(spec) => spec.generate(),
         }
-        .generate(),
-        "language" => LanguageSpec {
-            sentences_per_language: args.get("sequences", 600) / 3,
-            noise_sentences: args.get("noise", 100),
-            words_per_sentence: (20, 40),
-            seed: args.get("seed", 2002),
-        }
-        .generate(),
-        other => {
-            eprintln!("error: unknown --kind {other:?} (synthetic|protein|language)");
-            return ExitCode::from(2);
-        }
+    }
+}
+
+fn generate(args: &Args) -> ExitCode {
+    let spec = match GenerateSpec::from_args(args) {
+        Ok(spec) => spec,
+        Err(code) => return code,
     };
+    let bin = args.get_str("format") == Some("bin");
+    let out = args.get_str("out");
+    if let Err(code) = args.reject_unread() {
+        return code;
+    }
+    if bin {
+        return generate_bin(&spec, out);
+    }
+    let db = spec.generate();
 
     // Symbols must be single characters for the lines codec; synthetic
     // alphabets use numeric names, so re-encode them as alphanumerics.
@@ -275,7 +289,7 @@ fn generate(args: &Args) -> ExitCode {
         }
     };
     let text = codec::encode_lines(&db);
-    match args.get_str("out") {
+    match out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, text) {
                 eprintln!("error: writing {path}: {e}");
@@ -297,37 +311,14 @@ fn generate(args: &Args) -> ExitCode {
 /// `--sequences 10000000` never materializes the database in RAM; the
 /// protein and language corpora are small and fixed-shape, so they are
 /// built resident and written indexed.
-fn generate_bin(args: &Args, kind: &str) -> ExitCode {
-    let Some(path) = args.get_str("out") else {
+fn generate_bin(spec: &GenerateSpec, out: Option<&str>) -> ExitCode {
+    let Some(path) = out else {
         eprintln!("error: --format bin requires --out FILE");
         return ExitCode::from(2);
     };
-    let written = match kind {
-        "synthetic" => synthetic_spec(args).generate_streamed(path),
-        "protein" => cluseq_seq::store::write_indexed(
-            &ProteinFamilySpec {
-                families: args.get("clusters", 10),
-                size_scale: args.get("scale", 0.05),
-                seed: args.get("seed", 2003),
-                ..Default::default()
-            }
-            .generate(),
-            path,
-        ),
-        "language" => cluseq_seq::store::write_indexed(
-            &LanguageSpec {
-                sentences_per_language: args.get("sequences", 600) / 3,
-                noise_sentences: args.get("noise", 100),
-                words_per_sentence: (20, 40),
-                seed: args.get("seed", 2002),
-            }
-            .generate(),
-            path,
-        ),
-        other => {
-            eprintln!("error: unknown --kind {other:?} (synthetic|protein|language)");
-            return ExitCode::from(2);
-        }
+    let written = match spec {
+        GenerateSpec::Synthetic(spec) => spec.generate_streamed(path),
+        _ => cluseq_seq::store::write_indexed(&spec.generate(), path),
     };
     match written {
         Ok(n) => {
@@ -377,8 +368,7 @@ fn params_from(args: &Args) -> CluseqParams {
         .with_seed(args.get("seed", 0xC105E9))
         .with_max_iterations(args.get("max-iterations", 50))
         .with_threads(args.get("threads", 1usize).max(1))
-        .with_scan_mode(args.get("scan-mode", ScanMode::Incremental))
-        .with_scan_kernel(args.get("scan-kernel", ScanKernel::Compiled));
+        .with_scan_mode(args.get("scan-mode", ScanMode::Incremental));
     if args.has("no-adjust") {
         p = p.with_threshold_adjustment(false);
     }
@@ -431,8 +421,8 @@ impl Corpus {
 
 /// Opens the input file under `--store`: fully resident (either format),
 /// or out of core through the offset index (CSEQ binaries only).
-fn load_corpus(args: &Args) -> Result<Corpus, ExitCode> {
-    match args.get("store", StoreKind::Memory) {
+fn load_corpus(args: &Args, kind: StoreKind) -> Result<Corpus, ExitCode> {
+    match kind {
         StoreKind::Memory => load(args).map(Corpus::Memory),
         StoreKind::File => {
             let Some(path) = args.positional.first() else {
@@ -533,8 +523,7 @@ impl RunObserver for CliObserver {
 
 /// Writes the run report where `--report` asked for it (default:
 /// `results/reports/run-report.<ext>`), creating the directory if needed.
-fn write_report(args: &Args, report: &RunReport) -> Result<(), ExitCode> {
-    let format = args.get_str("report-format").unwrap_or("json");
+fn write_report(path: Option<&str>, format: &str, report: &RunReport) -> Result<(), ExitCode> {
     let (content, default_name) = match format {
         "json" => (report.to_json(), "results/reports/run-report.json"),
         "text" => (report.render_table(), "results/reports/run-report.txt"),
@@ -543,7 +532,7 @@ fn write_report(args: &Args, report: &RunReport) -> Result<(), ExitCode> {
             return Err(ExitCode::from(2));
         }
     };
-    let path = args.get_str("report").unwrap_or(default_name);
+    let path = path.unwrap_or(default_name);
     if let Some(dir) = std::path::Path::new(path).parent() {
         if !dir.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -561,12 +550,28 @@ fn write_report(args: &Args, report: &RunReport) -> Result<(), ExitCode> {
 }
 
 fn cluster(args: &Args, evaluate: bool) -> ExitCode {
-    let corpus = match load_corpus(args) {
-        Ok(corpus) => corpus,
-        Err(code) => return code,
-    };
-    let store = corpus.store();
+    let store_kind = args.get("store", StoreKind::Memory);
     let params = params_from(args);
+    // `--report PATH` parses as an option, bare `--report` as a switch;
+    // either spelling turns collection on.
+    let report_path = args.get_str("report");
+    let want_report = args.has("report") || report_path.is_some();
+    let report_format = args.get_str("report-format").unwrap_or("json");
+    let verbose = args.has("verbose");
+    let resume_arg = args.get_str("resume");
+    let resume_latest = args.has("resume");
+    let save_model = if evaluate {
+        None
+    } else {
+        args.get_str("save-model")
+    };
+    let trace_config = TraceConfig {
+        jsonl: args.get_str("trace").map(std::path::PathBuf::from),
+        metrics_addr: args.get_str("metrics-addr").map(str::to_owned),
+    };
+    if let Err(code) = args.reject_unread() {
+        return code;
+    }
     // Surface parameter conflicts as CLI errors before the engine's
     // validation would panic on them.
     if params.scan_shard.is_some() && params.scan_mode != ScanMode::Snapshot {
@@ -577,20 +582,18 @@ fn cluster(args: &Args, evaluate: bool) -> ExitCode {
         eprintln!("error: --scan-shard is incompatible with --incremental");
         return ExitCode::from(2);
     }
-    // `--report PATH` parses as an option, bare `--report` as a switch;
-    // either spelling turns collection on.
-    let want_report = args.has("report") || args.get_str("report").is_some();
+    let corpus = match load_corpus(args, store_kind) {
+        Ok(corpus) => corpus,
+        Err(code) => return code,
+    };
+    let store = corpus.store();
     let mut observer = CliObserver {
         report: RunReport::new(),
         collect: want_report,
-        verbose: args.has("verbose"),
+        verbose,
     };
     // Tracing is operational, not algorithmic: the session lives outside
     // CluseqParams and never enters a checkpoint.
-    let trace_config = TraceConfig {
-        jsonl: args.get_str("trace").map(std::path::PathBuf::from),
-        metrics_addr: args.get_str("metrics-addr").map(str::to_owned),
-    };
     let trace_session = if trace_config.jsonl.is_none() && trace_config.metrics_addr.is_none() {
         None
     } else {
@@ -611,9 +614,9 @@ fn cluster(args: &Args, evaluate: bool) -> ExitCode {
     // explicit form must be handled: the argument parser stores `--resume
     // foo.ckpt` as an option, not a switch, and silently ignoring the path
     // would run fresh with default parameters instead of resuming.
-    let resume_path = if let Some(path) = args.get_str("resume") {
+    let resume_path = if let Some(path) = resume_arg {
         Some(std::path::PathBuf::from(path))
-    } else if args.has("resume") {
+    } else if resume_latest {
         let Some(policy) = params.checkpoint.clone() else {
             eprintln!("error: --resume requires --checkpoint-dir (or an explicit --resume PATH)");
             return ExitCode::from(2);
@@ -673,7 +676,7 @@ fn cluster(args: &Args, evaluate: bool) -> ExitCode {
 
     if observer.collect {
         eprint!("{}", observer.report.render_table());
-        if let Err(code) = write_report(args, &observer.report) {
+        if let Err(code) = write_report(report_path, report_format, &observer.report) {
             return code;
         }
     }
@@ -710,7 +713,7 @@ fn cluster(args: &Args, evaluate: bool) -> ExitCode {
             );
         }
     } else {
-        if let Some(path) = args.get_str("save-model") {
+        if let Some(path) = save_model {
             let model = SavedModel::from_outcome(&outcome);
             match std::fs::File::create(path) {
                 Ok(mut f) => {
@@ -755,38 +758,47 @@ fn serve(args: &Args) -> ExitCode {
         eprintln!("error: serve requires --model FILE\n\n{USAGE}");
         return ExitCode::from(2);
     };
-    // The training corpus (only needed for CCKP models) routes through
-    // SequenceStore: `--store file` keeps the daemon's footprint bounded
-    // by the model, not the corpus.
-    let db: Option<Box<dyn SequenceStore + Send>> = match args.get_str("data") {
-        Some(path) => match args.get("store", StoreKind::Memory) {
-            StoreKind::Memory => match load_db_file(path) {
-                Ok(db) => Some(Box::new(db)),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            StoreKind::File => match FileStore::open(path) {
-                Ok(fs) => Some(Box::new(fs)),
-                Err(e) => {
-                    eprintln!(
-                        "error: opening {path} out of core: {e} (--store file \
-                         needs a CSEQ binary; write one with `generate --format bin`)"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-        },
-        None => None,
-    };
+    let data = args.get_str("data");
+    let store_kind = data.map(|_| args.get("store", StoreKind::Memory));
     let config = ServeConfig {
         addr: args.get_str("addr").unwrap_or("127.0.0.1:7878").to_owned(),
         threads: args.get("threads", 1usize).max(1),
         max_batch: args.get("max-batch", 64usize).max(1),
-        kernel: args.get("scan-kernel", ScanKernel::Compiled),
         frame_timeout: std::time::Duration::from_millis(args.get("frame-timeout-ms", 5000u64)),
         watch_sighup: true,
+        ..ServeConfig::default()
+    };
+    let obs_config = ObsConfig {
+        slow_log: args.get_str("slow-log").map(std::path::PathBuf::from),
+        slow_threshold: std::time::Duration::from_millis(args.get("slow-threshold-ms", 100u64)),
+        trace_jsonl: args.get_str("trace").map(std::path::PathBuf::from),
+    };
+    let metrics_addr = args.get_str("metrics-addr");
+    if let Err(code) = args.reject_unread() {
+        return code;
+    }
+    // The training corpus (only needed for CCKP models) routes through
+    // SequenceStore: `--store file` keeps the daemon's footprint bounded
+    // by the model, not the corpus.
+    let db: Option<Box<dyn SequenceStore + Send>> = match (data, store_kind) {
+        (Some(path), Some(StoreKind::Memory)) => match load_db_file(path) {
+            Ok(db) => Some(Box::new(db)),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        (Some(path), Some(StoreKind::File)) => match FileStore::open(path) {
+            Ok(fs) => Some(Box::new(fs)),
+            Err(e) => {
+                eprintln!(
+                    "error: opening {path} out of core: {e} (--store file \
+                     needs a CSEQ binary; write one with `generate --format bin`)"
+                );
+                return ExitCode::FAILURE;
+            }
+        },
+        _ => None,
     };
     let model = match ServeModel::load(
         std::path::Path::new(model_path),
@@ -804,21 +816,15 @@ fn serve(args: &Args) -> ExitCode {
     // shared, so counters, the exporter, the slow log, and the serve
     // trace all read the same numbers. No flag → no bundle → the serve
     // path pays nothing, not even clock reads.
-    let obs_config = ObsConfig {
-        slow_log: args.get_str("slow-log").map(std::path::PathBuf::from),
-        slow_threshold: std::time::Duration::from_millis(args.get("slow-threshold-ms", 100u64)),
-        trace_jsonl: args.get_str("trace").map(std::path::PathBuf::from),
-    };
-    let want_obs = args.get_str("metrics-addr").is_some()
-        || obs_config.slow_log.is_some()
-        || obs_config.trace_jsonl.is_some();
+    let want_obs =
+        metrics_addr.is_some() || obs_config.slow_log.is_some() || obs_config.trace_jsonl.is_some();
     // The trace session owns the standalone /metrics exporter; the serve
     // threads hold their own Arc to the registry, so it must outlive the
     // handle.
     let trace_session = if want_obs {
         let config = TraceConfig {
             jsonl: None,
-            metrics_addr: args.get_str("metrics-addr").map(str::to_owned),
+            metrics_addr: metrics_addr.map(str::to_owned),
         };
         match TraceSession::start(&config) {
             Ok(session) => Some(session),
@@ -864,6 +870,9 @@ fn serve(args: &Args) -> ExitCode {
 }
 
 fn trace_summary(args: &Args) -> ExitCode {
+    if let Err(code) = args.reject_unread() {
+        return code;
+    }
     let Some(path) = args.positional.first() else {
         eprintln!("error: missing trace file\n\n{USAGE}");
         return ExitCode::from(2);
@@ -885,6 +894,9 @@ fn classify(args: &Args) -> ExitCode {
         eprintln!("error: classify requires --model FILE\n\n{USAGE}");
         return ExitCode::from(2);
     };
+    if let Err(code) = args.reject_unread() {
+        return code;
+    }
     let model = match std::fs::File::open(model_path) {
         Ok(mut f) => match SavedModel::load(&mut f) {
             Ok(m) => m,
@@ -926,6 +938,10 @@ fn inspect(args: &Args) -> ExitCode {
         eprintln!("error: inspect requires --model FILE\n\n{USAGE}");
         return ExitCode::from(2);
     };
+    let max_nodes: usize = args.get("max-nodes", 20);
+    if let Err(code) = args.reject_unread() {
+        return code;
+    }
     let model = match std::fs::File::open(model_path) {
         Ok(mut f) => match SavedModel::load(&mut f) {
             Ok(m) => m,
@@ -947,7 +963,6 @@ fn inspect(args: &Args) -> ExitCode {
     // Model files carry symbol ids, not names; render with synthetic names.
     let n_sym = model.background.alphabet_size();
     let alphabet = cluseq_seq::Alphabet::synthetic(n_sym);
-    let max_nodes: usize = args.get("max-nodes", 20);
     for (k, cluster) in model.clusters.iter().enumerate() {
         let stats = cluster.pst.stats();
         println!(
@@ -995,24 +1010,57 @@ mod tests {
         assert_eq!(p.threads, 1);
     }
 
+    fn parse(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(str::to_owned))
+    }
+
+    /// `--scan-kernel` was removed: an old script passing it must fail
+    /// loudly before any work (the input file here does not exist, so
+    /// reaching the loader would exit 1, not 2).
     #[test]
-    fn scan_kernel_flag_reaches_params_and_defaults_to_compiled() {
-        let args = Args::parse(
-            "cluster data.txt --scan-kernel interpreted"
-                .split_whitespace()
-                .map(str::to_owned),
+    fn cluster_rejects_the_removed_scan_kernel_flag() {
+        let args = parse("cluster /nonexistent/data.txt --scan-kernel compiled");
+        assert_eq!(cluster(&args, false), ExitCode::from(2));
+        assert_eq!(args.unread(), vec!["--scan-kernel"]);
+    }
+
+    #[test]
+    fn serve_rejects_the_removed_scan_kernel_flag() {
+        let args = parse("serve --model /nonexistent/model.cseq --scan-kernel batched");
+        assert_eq!(serve(&args), ExitCode::from(2));
+        assert_eq!(args.unread(), vec!["--scan-kernel"]);
+    }
+
+    #[test]
+    fn evaluate_rejects_save_model_which_only_cluster_reads() {
+        let args = parse("evaluate /nonexistent/data.txt --save-model m.cseq");
+        assert_eq!(cluster(&args, true), ExitCode::from(2));
+        assert_eq!(args.unread(), vec!["--save-model"]);
+    }
+
+    #[test]
+    fn generate_rejects_flags_its_kind_does_not_read() {
+        let args = parse("generate --kind protein --avg-len 40 --out /nonexistent/x.txt");
+        assert_eq!(generate(&args), ExitCode::from(2));
+        assert_eq!(args.unread(), vec!["--avg-len"]);
+    }
+
+    #[test]
+    fn every_cluster_flag_in_the_usage_text_is_read() {
+        // A full clustering command line, one value per option the usage
+        // text documents; nothing may be left unread.
+        let args = parse(
+            "cluster data.txt --initial-clusters 2 --significance 5 --threshold 1.5 \
+             --no-adjust --max-depth 6 --pst-bytes 100000 --order random \
+             --scan-mode snapshot --threads 2 --store memory --scan-shard 64 \
+             --model-cache-mb 8 --incremental --seed 3 --max-iterations 4 \
+             --checkpoint-dir ckpts --checkpoint-every 2 --resume --verbose \
+             --report r.json --report-format text --trace t.jsonl \
+             --metrics-addr 127.0.0.1:0 --save-model m.cseq",
         );
-        assert_eq!(params_from(&args).scan_kernel, ScanKernel::Interpreted);
-        let args = Args::parse(["cluster".to_owned(), "data.txt".to_owned()]);
-        assert_eq!(params_from(&args).scan_kernel, ScanKernel::Compiled);
-        for kernel in ScanKernel::ALL {
-            let args = Args::parse(
-                format!("cluster data.txt --scan-kernel {kernel}")
-                    .split_whitespace()
-                    .map(str::to_owned),
-            );
-            assert_eq!(params_from(&args).scan_kernel, kernel);
-        }
+        // Stops at the scan-shard/incremental conflict, after every read.
+        assert_eq!(cluster(&args, false), ExitCode::from(2));
+        assert!(args.unread().is_empty(), "{:?}", args.unread());
     }
 
     #[test]

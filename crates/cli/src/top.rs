@@ -46,6 +46,9 @@ pub fn run(args: &Args) -> ExitCode {
         .to_owned();
     let once = args.has("once");
     let interval = Duration::from_millis(args.get("interval-ms", 2000u64));
+    if let Err(code) = args.reject_unread() {
+        return code;
+    }
 
     let mut previous = match scrape(&addr) {
         Ok(s) => s,
@@ -250,9 +253,21 @@ fn render(addr: &str, previous: &Scrape, current: &Scrape) -> String {
         "op", "count", "p50", "p95", "p99", "p999"
     ));
     for (label, counter, hist) in [
-        ("assign", "cluseq_serve_assign_requests_total", "cluseq_serve_assign_seconds"),
-        ("score", "cluseq_serve_score_requests_total", "cluseq_serve_score_seconds"),
-        ("anomaly", "cluseq_serve_anomaly_requests_total", "cluseq_serve_anomaly_seconds"),
+        (
+            "assign",
+            "cluseq_serve_assign_requests_total",
+            "cluseq_serve_assign_seconds",
+        ),
+        (
+            "score",
+            "cluseq_serve_score_requests_total",
+            "cluseq_serve_score_seconds",
+        ),
+        (
+            "anomaly",
+            "cluseq_serve_anomaly_requests_total",
+            "cluseq_serve_anomaly_seconds",
+        ),
         ("admin", "", "cluseq_serve_admin_seconds"),
     ] {
         let count = if counter.is_empty() {
@@ -273,10 +288,7 @@ fn render(addr: &str, previous: &Scrape, current: &Scrape) -> String {
             fmt_ms(quantile(buckets, 0.999)),
         ));
     }
-    out.push_str(&format!(
-        "\n{:<12} {:>8}  (ms, mean)\n",
-        "stage", "mean"
-    ));
+    out.push_str(&format!("\n{:<12} {:>8}  (ms, mean)\n", "stage", "mean"));
     for (label, base) in [
         ("accept", "cluseq_serve_stage_accept_seconds"),
         ("decode", "cluseq_serve_stage_decode_seconds"),

@@ -26,7 +26,7 @@ use crate::outcome::{CluseqOutcome, IterationStats};
 use crate::recluster::{recluster_full, ScanOptions};
 use crate::score::{parallel_map, parallel_map_with, plan_chunk};
 use crate::seeding::select_seeds_detailed;
-use crate::similarity::{max_similarity_pst, BoundedSimilarity};
+use crate::similarity::BoundedSimilarity;
 use crate::telemetry::{
     CheckpointEvent, ClusterSnapshot, HistogramSnapshot, IterationRecord, NoopObserver, PhaseNanos,
     ResumeInfo, RunContext, RunObserver, RunSummary,
@@ -183,7 +183,7 @@ impl Cluseq {
         };
         observer.on_run_start(&ctx);
         if let Some(t) = trace {
-            t.event_run_start(&ctx, p.scan_kernel);
+            t.event_run_start(&ctx);
             t.gauge_set_f64(Gauge::ThresholdLogT, ctx.initial_log_t);
             t.sync();
         }
@@ -286,7 +286,7 @@ impl Cluseq {
         };
         observer.on_resume(&info);
         if let Some(t) = trace {
-            t.event_run_start(&ctx, p.scan_kernel);
+            t.event_run_start(&ctx);
             t.event_resume(&info);
             t.gauge_set(Gauge::Iteration, checkpoint.completed as u64);
             t.gauge_set(Gauge::ClustersLive, checkpoint.clusters.len() as u64);
@@ -393,7 +393,6 @@ impl Cluseq {
                 p.sample_factor,
                 pst_params,
                 p.threads,
-                p.scan_kernel,
                 &mut st.rng,
                 trace,
             );
@@ -444,7 +443,6 @@ impl Cluseq {
                     mode: p.scan_mode,
                     rebuild_psts: p.rebuild_psts,
                     threads: p.threads,
-                    kernel: p.scan_kernel,
                     prune_below: (!histogram_live).then_some(st.log_t),
                     trace,
                     scan_shard: p.scan_shard,
@@ -730,10 +728,11 @@ impl Cluseq {
     /// clusters so the reported memberships reflect the *final* models and
     /// threshold (intermediate memberships can reference clusters that were
     /// later consolidated away). Returns the outcome and the number of
-    /// (sequence, cluster) pairs the compiled kernel's early-exit bound
-    /// skipped — always 0 under [`ScanKernel::Interpreted`]. Pruning here
-    /// needs no gating: a pruned pair is provably below the threshold, so
-    /// memberships, best clusters, and outliers are unaffected.
+    /// (sequence, cluster) pairs the compiled scan's early-exit bound
+    /// skipped. The final models are frozen, so each is compiled once.
+    /// Pruning here needs no gating: a pruned pair is provably below the
+    /// threshold, so memberships, best clusters, and outliers are
+    /// unaffected.
     fn finalize(
         &self,
         store: &dyn SequenceStore,
@@ -749,16 +748,9 @@ impl Cluseq {
         let mut best_score = vec![f64::NEG_INFINITY; n];
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); clusters.len()];
 
-        let automata: Option<Vec<ClusterAutomaton>> =
-            self.params.scan_kernel.uses_automaton().then(|| {
-                parallel_map(clusters.len(), self.params.threads, |slot| {
-                    ClusterAutomaton::build(
-                        &clusters[slot].pst,
-                        &background,
-                        self.params.scan_kernel,
-                    )
-                    .expect("automaton-backed kernel")
-                })
+        let automata: Vec<ClusterAutomaton> =
+            parallel_map(clusters.len(), self.params.threads, |slot| {
+                ClusterAutomaton::compile(&clusters[slot].pst, &background)
             });
 
         // Scoring is read-only and embarrassingly parallel over sequences;
@@ -773,26 +765,14 @@ impl Cluseq {
                 let seq = reader.symbols(seq_id);
                 let mut joins = Vec::new();
                 let mut pruned = 0u64;
-                match &automata {
-                    Some(automata) => {
-                        for (slot, automaton) in automata.iter().enumerate() {
-                            match automaton.scan_bounded(seq, log_t) {
-                                BoundedSimilarity::Exact(sim) => {
-                                    if sim.log_sim >= log_t && !seq.is_empty() {
-                                        joins.push((slot, sim.log_sim));
-                                    }
-                                }
-                                BoundedSimilarity::Pruned => pruned += 1,
-                            }
-                        }
-                    }
-                    None => {
-                        for (slot, cluster) in clusters.iter().enumerate() {
-                            let sim = max_similarity_pst(&cluster.pst, &background, seq);
+                for (slot, automaton) in automata.iter().enumerate() {
+                    match automaton.scan_bounded(seq, log_t) {
+                        BoundedSimilarity::Exact(sim) => {
                             if sim.log_sim >= log_t && !seq.is_empty() {
                                 joins.push((slot, sim.log_sim));
                             }
                         }
+                        BoundedSimilarity::Pruned => pruned += 1,
                     }
                 }
                 if let Some(t) = trace {

@@ -19,9 +19,9 @@
 //! magic "CCKP" | version u32
 //! guard:    sequences u64 | alphabet u32 | digest u64   (FNV-1a, see below)
 //! params:   every CluseqParams field, enums as u8 tags, options tagged
-//!           (v2 adds the scan_kernel u8 tag after scan_mode; v3 appends
-//!           the incremental u8 flag at the end; v4 appends scan_shard
-//!           and model_cache_mb as optional u64s after it)
+//!           (v2 adds a scan-kernel u8 tag after scan_mode — see below;
+//!           v3 appends the incremental u8 flag at the end; v4 appends
+//!           scan_shard and model_cache_mb as optional u64s after it)
 //! store:    u8 tag, 0 = in-memory, 1 = file-backed — which kind of
 //!           [`SequenceStore`] the run was clustering (v4). Informational:
 //!           the digest guards content, and either store kind resumes the
@@ -47,11 +47,19 @@
 //!           1 = Pruned (v3; absent before — loader yields an empty cache)
 //! ```
 //!
+//! The scan-kernel tag records which kernel a run was told to use, from
+//! the format versions where that was a parameter. The engine picks the
+//! kernel from the model state (see `ARCHITECTURE.md`), so the writer always
+//! emits tag `1` (compiled) and the loader reads tags `0`–`2`
+//! (interpreted, compiled, batched — the exact kernels, bit-identical to
+//! the engine) as the one exact path. Tag `3` (the removed quantized
+//! kernel) is refused with an error naming that kernel: its scores were
+//! approximate, so no exact engine can resume such a run bit-identically.
+//!
 //! Versions 1 through 3 are still readable: the loader threads the
 //! header version through the params/record decoders, which default the
-//! fields an older writer never produced — `scan_kernel` to
-//! [`ScanKernel::Compiled`] (the kernels are bit-identical, so either
-//! replays the run exactly), `incremental` to `false`, `pairs_pruned` and
+//! fields an older writer never produced — `incremental` to `false`,
+//! `pairs_pruned` and
 //! the v3 scan counters to 0 (lossless: scan pruning is disabled whenever
 //! an iteration is being recorded, and the incremental counters are zero
 //! unless the — then nonexistent — incremental engine was on), the
@@ -102,7 +110,7 @@ use cluseq_pst::{PruneStrategy, Pst, SerialError};
 use cluseq_seq::{SequenceStore, StoreKind};
 
 use crate::cluster::Cluster;
-use crate::config::{CheckpointPolicy, CluseqParams, ConsolidationMode, ScanKernel, ScanMode};
+use crate::config::{CheckpointPolicy, CluseqParams, ConsolidationMode, ScanMode};
 use crate::failpoint::{FailPlan, FailingWriter};
 use crate::order::ExaminationOrder;
 use crate::outcome::IterationStats;
@@ -112,6 +120,15 @@ use crate::telemetry::{
 };
 
 const MAGIC: &[u8; 4] = b"CCKP";
+
+/// The scan kernel tag every writer emits (see the module docs).
+const KERNEL_TAG_COMPILED: u8 = 1;
+
+/// The load error for a checkpoint taken under the removed quantized
+/// kernel (kernel tag 3).
+const QUANTIZED_KERNEL_REJECTED: &str =
+    "scan kernel tag 3: the quantized kernel was removed, and its approximate \
+     scores cannot be resumed bit-identically on exact scores";
 
 /// A cluster entry as parsed from the clusters section: either a complete
 /// body, or (v3 delta files) an id-only reference to the identical cluster
@@ -873,19 +890,10 @@ fn save_params(w: &mut impl Write, p: &CluseqParams) -> io::Result<()> {
             ScanMode::Snapshot => 1,
         },
     )?;
-    // v2 field: absent from v1 files, where the loader defaults it. Tags
-    // 2 (batched) and 3 (quantized) extend the original 0/1 value space
-    // without a version bump: old readers reject them as corrupt rather
-    // than misinterpreting them, and old files never contain them.
-    write_u8(
-        w,
-        match p.scan_kernel {
-            ScanKernel::Interpreted => 0,
-            ScanKernel::Compiled => 1,
-            ScanKernel::Batched => 2,
-            ScanKernel::Quantized => 3,
-        },
-    )?;
+    // v2 field: the scan kernel tag. The engine picks the kernel itself,
+    // so the writer always emits 1 (compiled) — the value every reader of
+    // any v2+ version accepts.
+    write_u8(w, KERNEL_TAG_COMPILED)?;
     write_u64(w, p.threads as u64)?;
     write_u64(w, p.seed)?;
     match &p.checkpoint {
@@ -964,19 +972,17 @@ fn load_params(r: &mut impl Read, version: u32) -> Result<CluseqParams, SerialEr
         1 => ScanMode::Snapshot,
         _ => return Err(SerialError::Corrupt("scan mode tag")),
     };
-    // v1 predates the kernel choice; Compiled is safe because the two
-    // kernels are bit-identical, so the resumed run replays exactly.
-    let scan_kernel = if version >= 2 {
+    // v1 predates the kernel tag. Tags 0-2 (interpreted, compiled,
+    // batched) were the exact kernels, bit-identical to today's engine, so
+    // they resume exactly; tag 3 was the approximate quantized kernel,
+    // whose run cannot be continued bit-identically on exact scores.
+    if version >= 2 {
         match read_u8(r)? {
-            0 => ScanKernel::Interpreted,
-            1 => ScanKernel::Compiled,
-            2 => ScanKernel::Batched,
-            3 => ScanKernel::Quantized,
+            0..=2 => {}
+            3 => return Err(SerialError::Corrupt(QUANTIZED_KERNEL_REJECTED)),
             _ => return Err(SerialError::Corrupt("scan kernel tag")),
         }
-    } else {
-        ScanKernel::Compiled
-    };
+    }
     let threads = read_u64(r)? as usize;
     if threads == 0 {
         return Err(SerialError::Corrupt("zero thread count"));
@@ -1026,7 +1032,6 @@ fn load_params(r: &mut impl Read, version: u32) -> Result<CluseqParams, SerialEr
         min_exclusive,
         rebuild_psts,
         scan_mode,
-        scan_kernel,
         threads,
         incremental,
         scan_shard,
@@ -1320,15 +1325,41 @@ mod tests {
         buf
     }
 
+    /// The byte offset of the scan-kernel tag in a saved checkpoint.
+    fn kernel_tag_offset(bytes: &[u8]) -> usize {
+        // The tag follows the scan-mode tag; locate it by re-saving with
+        // the other scan mode and finding the one byte that differs.
+        let mut other = Checkpoint::load(&mut &bytes[..]).unwrap();
+        other.params.scan_mode = match other.params.scan_mode {
+            ScanMode::Incremental => ScanMode::Snapshot,
+            ScanMode::Snapshot => ScanMode::Incremental,
+        };
+        let other = to_bytes(&other);
+        let mode_at = (0..bytes.len()).find(|&i| bytes[i] != other[i]).unwrap();
+        mode_at + 1
+    }
+
+    /// The writer always emits the compiled tag; every exact-kernel tag an
+    /// older writer produced loads as the one exact path and re-saves as
+    /// the compiled tag; the quantized tag is refused by name.
     #[test]
     fn every_scan_kernel_tag_round_trips() {
-        for kernel in ScanKernel::ALL {
-            let mut ckpt = sample_checkpoint();
-            ckpt.params = ckpt.params.with_scan_kernel(kernel);
-            let bytes = to_bytes(&ckpt);
-            let loaded = Checkpoint::load(&mut bytes.as_slice()).unwrap();
-            assert_eq!(loaded.params.scan_kernel, kernel);
+        let bytes = to_bytes(&sample_checkpoint());
+        let at = kernel_tag_offset(&bytes);
+        assert_eq!(bytes[at], KERNEL_TAG_COMPILED);
+        for tag in 0u8..=2 {
+            let mut patched = bytes.clone();
+            patched[at] = tag;
+            let loaded = Checkpoint::load(&mut patched.as_slice()).unwrap();
+            assert_eq!(to_bytes(&loaded), bytes, "tag {tag}");
         }
+        let mut quantized = bytes.clone();
+        quantized[at] = 3;
+        let err = Checkpoint::load(&mut quantized.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("quantized"), "{err}");
+        let mut unknown = bytes;
+        unknown[at] = 4;
+        assert!(Checkpoint::load(&mut unknown.as_slice()).is_err());
     }
 
     #[test]

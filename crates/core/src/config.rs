@@ -65,81 +65,48 @@ impl std::str::FromStr for ScanMode {
 
 /// Which implementation evaluates the per-symbol similarity DP.
 ///
-/// The first three kernels compute the exact same X/Y/Z dynamic program
-/// and are **bit-identical** in every outcome (the compiled tables hold
-/// the very f64 values the interpreted path computes per symbol, consumed
-/// in the same per-sequence order — batching interleaves sequences but
-/// never reorders one sequence's arithmetic); they differ only in speed
-/// and in the `pairs_pruned` telemetry counter, since the automaton
-/// kernels can prove mid-scan that a pair cannot reach the threshold and
-/// exit early. The quantized kernel trades exactness for a 4× smaller hot
-/// table: its scores deviate from the exact kernels by at most a
-/// documented per-automaton bound
-/// ([`QuantizedPst::error_bound`](cluseq_pst::QuantizedPst::error_bound))
-/// while remaining **byte-stable** — a pure deterministic function of
-/// (model, sequence), so cached columns and checkpoint/resume determinism
-/// hold exactly as for the exact kernels.
+/// The two kernels compute the exact same X/Y/Z dynamic program and are
+/// **bit-identical** in every outcome: the compiled tables hold the very
+/// f64 values the interpreted walk computes per symbol, consumed in the
+/// same order. The clustering engine picks between them by model state,
+/// not by configuration — it walks the PST while a model can still change
+/// (the serial scan) and compiles a model once it is frozen (seeding,
+/// snapshot score passes, the final sweep); see `ARCHITECTURE.md`. The
+/// enum remains for the frozen-model scorers that take an explicit
+/// choice: [`ClusterAutomaton::build`](crate::ClusterAutomaton::build)
+/// and the serve daemon ([`crate::ServeConfig::kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ScanKernel {
     /// Walk the PST per symbol via the [context
     /// scanner](cluseq_pst::ContextScanner): child lookups, successor-count
-    /// summation, and two `ln()` calls per position.
+    /// summation, and two `ln()` calls per position. The reference.
     Interpreted,
-    /// Flatten each frozen PST into a dense goto + log-ratio automaton
-    /// ([`cluseq_pst::CompiledPst`]) once per scan phase, making the hot
-    /// loop two array loads per symbol with threshold early-exit.
+    /// Flatten a frozen PST into a dense goto + log-ratio automaton
+    /// ([`cluseq_pst::CompiledPst`]) once, making the hot loop two array
+    /// loads per symbol with threshold early-exit.
     #[default]
     Compiled,
-    /// The compiled automaton driven by the batched scan
-    /// ([`cluseq_pst::BatchScanner`]): snapshot score phases interleave
-    /// [`BATCH_LANES`](crate::similarity::BATCH_LANES) sequences per
-    /// automaton so table loads overlap instead of serializing on the
-    /// goto chain. Bit-identical to [`Compiled`](Self::Compiled) in every
-    /// outcome; serial paths (incremental-mode scans, single-sequence
-    /// classification) fall back to the per-pair compiled scan, which is
-    /// the same arithmetic.
-    Batched,
-    /// The batched driver over an `i16` fixed-point ratio table
-    /// ([`cluseq_pst::QuantizedPst`]): integer-only DP, 6 bytes per table
-    /// entry instead of 12, slack-free early exit. Similarities deviate
-    /// from the exact kernels within the documented quantization bound.
-    Quantized,
 }
 
 impl ScanKernel {
-    /// Every kernel, in the order the CLI documents them.
-    pub const ALL: [ScanKernel; 4] = [
-        ScanKernel::Interpreted,
-        ScanKernel::Compiled,
-        ScanKernel::Batched,
-        ScanKernel::Quantized,
-    ];
+    /// Both kernels, in the order the docs list them.
+    pub const ALL: [ScanKernel; 2] = [ScanKernel::Interpreted, ScanKernel::Compiled];
 
-    /// Whether this kernel scans via a precompiled automaton (everything
-    /// but [`Interpreted`](Self::Interpreted)) — and therefore supports
-    /// threshold early-exit (`prune_below`).
+    /// Whether this kernel scans via a precompiled automaton — and
+    /// therefore supports threshold early-exit.
     pub fn uses_automaton(self) -> bool {
-        !matches!(self, ScanKernel::Interpreted)
-    }
-
-    /// Whether this kernel's similarities are bit-identical to the
-    /// interpreted reference (everything but
-    /// [`Quantized`](Self::Quantized)).
-    pub fn is_exact(self) -> bool {
-        !matches!(self, ScanKernel::Quantized)
+        self == ScanKernel::Compiled
     }
 }
 
 impl std::fmt::Display for ScanKernel {
     /// Renders the same lowercase token [`FromStr`](std::str::FromStr)
-    /// accepts (`interpreted` / `compiled` / `batched` / `quantized`), so
-    /// the value round-trips through config files and run reports.
+    /// accepts (`interpreted` / `compiled`), so the value round-trips
+    /// through trace events and serve reports.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             ScanKernel::Interpreted => "interpreted",
             ScanKernel::Compiled => "compiled",
-            ScanKernel::Batched => "batched",
-            ScanKernel::Quantized => "quantized",
         })
     }
 }
@@ -151,10 +118,8 @@ impl std::str::FromStr for ScanKernel {
         match s {
             "interpreted" => Ok(ScanKernel::Interpreted),
             "compiled" => Ok(ScanKernel::Compiled),
-            "batched" => Ok(ScanKernel::Batched),
-            "quantized" => Ok(ScanKernel::Quantized),
             other => Err(format!(
-                "unknown scan kernel {other:?} (expected interpreted|compiled|batched|quantized)"
+                "unknown scan kernel {other:?} (expected interpreted|compiled)"
             )),
         }
     }
@@ -257,10 +222,6 @@ pub struct CluseqParams {
     /// How the re-clustering scan applies model updates: the paper's
     /// immediate insertion, or the parallel snapshot-score variant.
     pub scan_mode: ScanMode,
-    /// Which similarity-DP implementation every scoring pass uses. The
-    /// two kernels are bit-identical in outcome (see [`ScanKernel`]);
-    /// compiled is the default and the fast path.
-    pub scan_kernel: ScanKernel,
     /// Worker threads for the read-only scoring passes: seed selection,
     /// the final assignment sweep, online scoring, and — under
     /// [`ScanMode::Snapshot`] — the scan's score phase. 1 = serial.
@@ -321,7 +282,6 @@ impl Default for CluseqParams {
             min_exclusive: None,
             rebuild_psts: false,
             scan_mode: ScanMode::Incremental,
-            scan_kernel: ScanKernel::Compiled,
             threads: 1,
             incremental: false,
             scan_shard: None,
@@ -440,13 +400,6 @@ impl CluseqParams {
     /// Sets the re-clustering scan mode.
     pub fn with_scan_mode(mut self, mode: ScanMode) -> Self {
         self.scan_mode = mode;
-        self
-    }
-
-    /// Sets the similarity-DP kernel (interpreted walk or compiled
-    /// automaton).
-    pub fn with_scan_kernel(mut self, kernel: ScanKernel) -> Self {
-        self.scan_kernel = kernel;
         self
     }
 
@@ -609,16 +562,10 @@ mod tests {
 
     #[test]
     fn scan_kernel_parses_and_defaults_to_compiled() {
-        assert_eq!(CluseqParams::default().scan_kernel, ScanKernel::Compiled);
+        assert_eq!(ScanKernel::default(), ScanKernel::Compiled);
         assert_eq!("interpreted".parse(), Ok(ScanKernel::Interpreted));
         assert_eq!("compiled".parse(), Ok(ScanKernel::Compiled));
         assert!("Compiled".parse::<ScanKernel>().is_err());
-        assert_eq!(
-            CluseqParams::default()
-                .with_scan_kernel(ScanKernel::Interpreted)
-                .scan_kernel,
-            ScanKernel::Interpreted
-        );
     }
 
     #[test]
@@ -630,20 +577,18 @@ mod tests {
 
     #[test]
     fn scan_kernel_rejects_unknown_names_listing_the_valid_set() {
-        let err = "warp".parse::<ScanKernel>().unwrap_err();
-        for token in ["warp", "interpreted", "compiled", "batched", "quantized"] {
-            assert!(err.contains(token), "error {err:?} must mention {token}");
+        for name in ["warp", "batched", "quantized"] {
+            let err = name.parse::<ScanKernel>().unwrap_err();
+            for token in [name, "interpreted", "compiled"] {
+                assert!(err.contains(token), "error {err:?} must mention {token}");
+            }
         }
     }
 
     #[test]
     fn scan_kernel_classification_helpers() {
-        use ScanKernel::*;
-        assert!(!Interpreted.uses_automaton());
-        assert!(Compiled.uses_automaton() && Batched.uses_automaton());
-        assert!(Quantized.uses_automaton());
-        assert!(Interpreted.is_exact() && Compiled.is_exact() && Batched.is_exact());
-        assert!(!Quantized.is_exact());
+        assert!(!ScanKernel::Interpreted.uses_automaton());
+        assert!(ScanKernel::Compiled.uses_automaton());
     }
 
     #[test]

@@ -1,78 +1,49 @@
-//! Kernel dispatch: one handle for "a cluster model, prepared for
-//! whichever scan kernel the run selected".
+//! A frozen cluster model, compiled for scanning.
 //!
-//! The scan call-sites — recluster's serial arms, seeding's farthest-first
-//! folds, the final assignment sweep, serve's classifier, and the score
-//! engine's snapshot passes — all need the same four-way choice: walk the
-//! PST directly (interpreted), scan a [`CompiledPst`], scan it through the
-//! batched driver, or scan a [`QuantizedPst`]. [`ClusterAutomaton`] folds
-//! the three automaton-backed kernels into one value so every call-site
-//! matches once at *build* time and then scans through a uniform API,
-//! instead of re-encoding the kernel match in every loop.
-//!
-//! Batched vs. per-pair is a *driver* choice, not a table choice: the
-//! batched kernel scans the same `CompiledPst` tables, and its per-lane
-//! arithmetic is identical to the per-pair scan. Serial call-sites (one
-//! sequence at a time, models evolving mid-scan) therefore use
-//! [`ClusterAutomaton::scan_bounded`] under every exact kernel and get
-//! bit-identical results by construction; only the bulk snapshot paths
-//! route through [`ClusterAutomaton::scan_batch`].
+//! Every scorer of a *frozen* model — seeding's farthest-first folds, the
+//! snapshot score passes, the final assignment sweep, and serve's
+//! classifier — scans a [`ClusterAutomaton`]: the cluster's PST flattened
+//! into a [`CompiledPst`] once, then scanned per pair. A model that can
+//! still change mid-scan (the serial re-clustering rule) is walked
+//! directly instead, since compiling it would be thrown away at its next
+//! join. Both paths are bit-identical by construction.
 
-use cluseq_pst::{CompiledPst, Pst, QuantizedPst};
+use cluseq_pst::{CompiledPst, Pst};
 use cluseq_seq::{BackgroundModel, Symbol};
 
 use crate::config::ScanKernel;
 use crate::similarity::{
-    max_similarity_compiled, max_similarity_compiled_batch, max_similarity_compiled_bounded,
-    max_similarity_quantized, max_similarity_quantized_batch, max_similarity_quantized_bounded,
-    BoundedSimilarity, SegmentSimilarity,
+    max_similarity_compiled, max_similarity_compiled_bounded, BoundedSimilarity, SegmentSimilarity,
 };
 
-/// A cluster's frozen model, compiled for one of the automaton-backed
-/// scan kernels (see the [module docs](self)).
+/// A cluster's frozen model, compiled into exact `f64` scan tables (see
+/// the [module docs](self)).
 #[derive(Debug, Clone)]
-pub enum ClusterAutomaton {
-    /// Exact f64 tables — the [`ScanKernel::Compiled`] and
-    /// [`ScanKernel::Batched`] kernels (same tables, different drivers).
-    Exact(CompiledPst),
-    /// `i16` fixed-point tables — the [`ScanKernel::Quantized`] kernel.
-    Quantized(QuantizedPst),
-}
+pub struct ClusterAutomaton(CompiledPst);
 
 impl ClusterAutomaton {
+    /// Compiles `pst` against `background`.
+    pub fn compile(pst: &Pst, background: &BackgroundModel) -> Self {
+        Self(CompiledPst::compile(pst, background))
+    }
+
     /// Compiles `pst` for `kernel`. Returns `None` for
     /// [`ScanKernel::Interpreted`], which scans the tree directly.
     pub fn build(pst: &Pst, background: &BackgroundModel, kernel: ScanKernel) -> Option<Self> {
-        match kernel {
-            ScanKernel::Interpreted => None,
-            ScanKernel::Compiled | ScanKernel::Batched => {
-                Some(Self::Exact(CompiledPst::compile(pst, background)))
-            }
-            ScanKernel::Quantized => Some(Self::Quantized(
-                CompiledPst::compile(pst, background).quantize(),
-            )),
-        }
+        kernel
+            .uses_automaton()
+            .then(|| Self::compile(pst, background))
     }
 
-    /// Scores one sequence, unbounded. Exact tables give the interpreted
-    /// kernel's bits; quantized tables the byte-stable quantized score.
+    /// Scores one sequence, unbounded — the interpreted kernel's bits.
     pub fn scan(&self, seq: &[Symbol]) -> SegmentSimilarity {
-        match self {
-            Self::Exact(compiled) => max_similarity_compiled(compiled, seq),
-            Self::Quantized(quantized) => max_similarity_quantized(quantized, seq),
-        }
+        max_similarity_compiled(&self.0, seq)
     }
 
     /// Scores one sequence with threshold early-exit (see
-    /// [`max_similarity_compiled_bounded`] /
-    /// [`max_similarity_quantized_bounded`]).
+    /// [`max_similarity_compiled_bounded`]).
     pub fn scan_bounded(&self, seq: &[Symbol], threshold: f64) -> BoundedSimilarity {
-        match self {
-            Self::Exact(compiled) => max_similarity_compiled_bounded(compiled, seq, threshold),
-            Self::Quantized(quantized) => {
-                max_similarity_quantized_bounded(quantized, seq, threshold)
-            }
-        }
+        max_similarity_compiled_bounded(&self.0, seq, threshold)
     }
 
     /// [`scan_bounded`](Self::scan_bounded) driven by the caller's choice
@@ -85,25 +56,9 @@ impl ClusterAutomaton {
         }
     }
 
-    /// Scores a batch of sequences through the interleaved multi-lane
-    /// driver. `out[lane]` is bit-identical to
-    /// [`scan_pruned`](Self::scan_pruned)`(seqs[lane], threshold)` — the
-    /// batching changes memory behavior, never per-lane arithmetic.
-    pub fn scan_batch(&self, seqs: &[&[Symbol]], threshold: Option<f64>) -> Vec<BoundedSimilarity> {
-        match self {
-            Self::Exact(compiled) => max_similarity_compiled_batch(compiled, seqs, threshold),
-            Self::Quantized(quantized) => {
-                max_similarity_quantized_batch(quantized, seqs, threshold)
-            }
-        }
-    }
-
     /// Heap footprint of the underlying tables.
     pub fn table_bytes(&self) -> usize {
-        match self {
-            Self::Exact(compiled) => compiled.table_bytes(),
-            Self::Quantized(quantized) => quantized.table_bytes(),
-        }
+        self.0.table_bytes()
     }
 }
 
@@ -113,7 +68,7 @@ mod tests {
     use cluseq_pst::PstParams;
     use cluseq_seq::Sequence;
 
-    fn fixture() -> (Pst, BackgroundModel, Vec<Symbol>) {
+    fn fixture() -> (Pst, BackgroundModel) {
         let alphabet = cluseq_seq::Alphabet::from_chars("abc".chars());
         let train = Sequence::parse_str(&alphabet, "abcabcaabbccabcbacbca").unwrap();
         let pst = Pst::from_sequence(
@@ -121,56 +76,18 @@ mod tests {
             PstParams::default().with_significance(2).with_max_depth(4),
             &train,
         );
-        let probe = Sequence::parse_str(&alphabet, "abcabcaabbcc")
-            .unwrap()
-            .iter()
-            .collect();
-        (pst, BackgroundModel::uniform(3), probe)
+        (pst, BackgroundModel::uniform(3))
     }
 
     #[test]
     fn interpreted_kernel_builds_no_automaton() {
-        let (pst, bg, _) = fixture();
+        let (pst, bg) = fixture();
         assert!(ClusterAutomaton::build(&pst, &bg, ScanKernel::Interpreted).is_none());
-        for kernel in [
-            ScanKernel::Compiled,
-            ScanKernel::Batched,
-            ScanKernel::Quantized,
-        ] {
-            let a = ClusterAutomaton::build(&pst, &bg, kernel).unwrap();
-            assert!(a.table_bytes() > 0);
-        }
-    }
-
-    #[test]
-    fn compiled_and_batched_share_exact_tables() {
-        let (pst, bg, probe) = fixture();
-        let compiled = ClusterAutomaton::build(&pst, &bg, ScanKernel::Compiled).unwrap();
-        let batched = ClusterAutomaton::build(&pst, &bg, ScanKernel::Batched).unwrap();
+        let a = ClusterAutomaton::build(&pst, &bg, ScanKernel::Compiled).unwrap();
+        assert!(a.table_bytes() > 0);
         assert_eq!(
-            compiled.scan(&probe).log_sim.to_bits(),
-            batched.scan(&probe).log_sim.to_bits()
+            a.table_bytes(),
+            ClusterAutomaton::compile(&pst, &bg).table_bytes()
         );
-        assert!(matches!(batched, ClusterAutomaton::Exact(_)));
-    }
-
-    #[test]
-    fn scan_batch_matches_scan_pruned_per_lane() {
-        let (pst, bg, probe) = fixture();
-        let short: Vec<Symbol> = probe[..3].to_vec();
-        let lanes: Vec<&[Symbol]> = vec![&probe, &short, &[]];
-        for kernel in [ScanKernel::Batched, ScanKernel::Quantized] {
-            let a = ClusterAutomaton::build(&pst, &bg, kernel).unwrap();
-            for threshold in [None, Some(0.5), Some(1e9)] {
-                let batch = a.scan_batch(&lanes, threshold);
-                for (lane, seq) in lanes.iter().enumerate() {
-                    assert_eq!(
-                        batch[lane],
-                        a.scan_pruned(seq, threshold),
-                        "kernel {kernel} lane {lane} threshold {threshold:?}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -82,10 +82,8 @@ pub use recluster::ScanOptions;
 pub use score::ScoreEngine;
 pub use serve::{ServeConfig, Server, ServerHandle};
 pub use similarity::{
-    max_similarity, max_similarity_compiled, max_similarity_compiled_batch,
-    max_similarity_compiled_bounded, max_similarity_pst, max_similarity_pst_with_scratch,
-    max_similarity_quantized, max_similarity_quantized_batch, max_similarity_quantized_bounded,
-    prune_count, BoundedSimilarity, LogSim, SegmentSimilarity, BATCH_LANES,
+    max_similarity, max_similarity_compiled, max_similarity_compiled_bounded, max_similarity_pst,
+    max_similarity_pst_with_scratch, prune_count, BoundedSimilarity, LogSim, SegmentSimilarity,
 };
 pub use telemetry::{
     CheckpointEvent, IterationRecord, NoopObserver, ResumeInfo, RunObserver, RunReport,

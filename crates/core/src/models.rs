@@ -2,14 +2,14 @@
 //! byte-budgeted LRU cache.
 //!
 //! At paper scale the corpus is the dominant memory cost, but the compiled
-//! scan tables are the *second* one: every automaton-backed kernel holds
+//! scan tables are the *second* one: every compiled model holds
 //! `O(nodes × |ℑ|)` table bytes per cluster, and the snapshot scan wants
 //! all `k` of them at once. The [`ModelCache`] bounds that: automata are
 //! built on first touch, retained up to a configured byte budget, and
 //! evicted least-recently-used beyond it. Because
-//! [`ClusterAutomaton::build`] is a pure function of `(pst, background,
-//! kernel)`, an evicted automaton rebuilds bit-identically on the next
-//! touch — eviction can cost time, never correctness.
+//! [`ClusterAutomaton::compile`] is a pure function of `(pst,
+//! background)`, an evicted automaton rebuilds bit-identically on the
+//! next touch — eviction can cost time, never correctness.
 //!
 //! Entries are handed out as [`Arc`]s: a scan that is mid-pass keeps its
 //! automata alive even if the cache evicts them concurrently-in-spirit
@@ -30,7 +30,6 @@ use std::sync::Arc;
 use cluseq_seq::BackgroundModel;
 
 use crate::cluster::Cluster;
-use crate::config::ScanKernel;
 use crate::kernel::ClusterAutomaton;
 
 /// One resident automaton plus its bookkeeping.
@@ -45,9 +44,7 @@ struct Entry {
 
 /// An LRU cache of compiled cluster automata, bounded by table bytes.
 ///
-/// Keys are cluster ids (stable across a run, never reused). The cache is
-/// kernel-agnostic per entry — a run uses one kernel throughout, and
-/// [`ModelCache::clear`] handles the hot-swap case.
+/// Keys are cluster ids (stable across a run, never reused).
 #[derive(Debug)]
 pub struct ModelCache {
     entries: HashMap<usize, Entry>,
@@ -82,10 +79,8 @@ impl ModelCache {
         Self::new(mb.saturating_mul(1 << 20))
     }
 
-    /// The automaton for `cluster` under `kernel`: the cached copy when
-    /// the entry is resident, a fresh deterministic build otherwise.
-    /// Returns `None` only for [`ScanKernel::Interpreted`], which has no
-    /// automaton.
+    /// The automaton for `cluster`: the cached copy when the entry is
+    /// resident, a fresh deterministic build otherwise.
     ///
     /// The returned [`Arc`] stays valid regardless of later evictions or
     /// invalidations — the cache only ever drops *its own* reference.
@@ -93,22 +88,15 @@ impl ModelCache {
         &mut self,
         cluster: &Cluster,
         background: &BackgroundModel,
-        kernel: ScanKernel,
-    ) -> Option<Arc<ClusterAutomaton>> {
-        if !kernel.uses_automaton() {
-            return None;
-        }
+    ) -> Arc<ClusterAutomaton> {
         self.clock += 1;
         if let Some(entry) = self.entries.get_mut(&cluster.id) {
             entry.last_used = self.clock;
             self.hits += 1;
-            return Some(Arc::clone(&entry.automaton));
+            return Arc::clone(&entry.automaton);
         }
         self.misses += 1;
-        let automaton = Arc::new(
-            ClusterAutomaton::build(&cluster.pst, background, kernel)
-                .expect("automaton-backed kernel"),
-        );
+        let automaton = Arc::new(ClusterAutomaton::compile(&cluster.pst, background));
         let bytes = automaton.table_bytes();
         self.entries.insert(
             cluster.id,
@@ -120,7 +108,7 @@ impl ModelCache {
         );
         self.resident_bytes += bytes;
         self.enforce_budget(cluster.id);
-        Some(automaton)
+        automaton
     }
 
     /// Evicts least-recently-used entries until the budget holds. The
@@ -173,7 +161,7 @@ impl ModelCache {
         }
     }
 
-    /// Drops everything (e.g. on a kernel change).
+    /// Drops everything (e.g. when every model is rebuilt).
     pub fn clear(&mut self) {
         self.entries.clear();
         self.resident_bytes = 0;
@@ -235,49 +223,28 @@ mod tests {
     #[test]
     fn cached_automata_scan_identically_to_fresh_builds() {
         let (db, bg, clusters) = fixture(4);
-        for kernel in [
-            ScanKernel::Compiled,
-            ScanKernel::Batched,
-            ScanKernel::Quantized,
-        ] {
-            let mut cache = ModelCache::with_budget_mb(64);
-            for cluster in &clusters {
-                let cached = cache.get_or_build(cluster, &bg, kernel).unwrap();
-                let fresh = ClusterAutomaton::build(&cluster.pst, &bg, kernel).unwrap();
-                for probe in 0..db.len() {
-                    let seq = db.sequence(probe).symbols();
-                    assert_eq!(
-                        cached.scan(seq).log_sim.to_bits(),
-                        fresh.scan(seq).log_sim.to_bits(),
-                        "kernel={kernel} cluster={} probe={probe}",
-                        cluster.id
-                    );
-                }
+        let mut cache = ModelCache::with_budget_mb(64);
+        for cluster in &clusters {
+            let cached = cache.get_or_build(cluster, &bg);
+            let fresh = ClusterAutomaton::compile(&cluster.pst, &bg);
+            for probe in 0..db.len() {
+                let seq = db.sequence(probe).symbols();
+                assert_eq!(
+                    cached.scan(seq).log_sim.to_bits(),
+                    fresh.scan(seq).log_sim.to_bits(),
+                    "cluster={} probe={probe}",
+                    cluster.id
+                );
             }
         }
-    }
-
-    #[test]
-    fn interpreted_kernel_gets_no_automaton_and_caches_nothing() {
-        let (_db, bg, clusters) = fixture(1);
-        let mut cache = ModelCache::with_budget_mb(1);
-        assert!(cache
-            .get_or_build(&clusters[0], &bg, ScanKernel::Interpreted)
-            .is_none());
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), (0, 0, 0));
     }
 
     #[test]
     fn second_touch_is_a_hit_not_a_rebuild() {
         let (_db, bg, clusters) = fixture(2);
         let mut cache = ModelCache::with_budget_mb(64);
-        let first = cache
-            .get_or_build(&clusters[0], &bg, ScanKernel::Compiled)
-            .unwrap();
-        let second = cache
-            .get_or_build(&clusters[0], &bg, ScanKernel::Compiled)
-            .unwrap();
+        let first = cache.get_or_build(&clusters[0], &bg);
+        let second = cache.get_or_build(&clusters[0], &bg);
         assert!(Arc::ptr_eq(&first, &second), "hit must reuse the build");
         assert_eq!(cache.stats(), (1, 1, 0));
     }
@@ -287,30 +254,21 @@ mod tests {
         let (_db, bg, clusters) = fixture(3);
         let sizes: Vec<usize> = clusters
             .iter()
-            .map(|c| {
-                ClusterAutomaton::build(&c.pst, &bg, ScanKernel::Compiled)
-                    .unwrap()
-                    .table_bytes()
-            })
+            .map(|c| ClusterAutomaton::compile(&c.pst, &bg).table_bytes())
             .collect();
         // Budget for exactly two of the three automata.
         let budget = sizes[0] + sizes[1].max(sizes[2]);
         let mut cache = ModelCache::new(budget);
-        let a0 = cache
-            .get_or_build(&clusters[0], &bg, ScanKernel::Compiled)
-            .unwrap();
-        cache.get_or_build(&clusters[1], &bg, ScanKernel::Compiled);
+        let a0 = cache.get_or_build(&clusters[0], &bg);
+        cache.get_or_build(&clusters[1], &bg);
         // Touch 0 again so 1 is the LRU victim when 2 arrives.
-        cache.get_or_build(&clusters[0], &bg, ScanKernel::Compiled);
-        cache.get_or_build(&clusters[2], &bg, ScanKernel::Compiled);
+        cache.get_or_build(&clusters[0], &bg);
+        cache.get_or_build(&clusters[2], &bg);
         assert!(cache.contains(0) && cache.contains(2) && !cache.contains(1));
         assert!(cache.resident_bytes() <= cache.budget_bytes());
         // The rebuilt entry scans bit-identically to the pre-eviction one.
-        let rebuilt = cache
-            .get_or_build(&clusters[1], &bg, ScanKernel::Compiled)
-            .unwrap();
-        let reference =
-            ClusterAutomaton::build(&clusters[1].pst, &bg, ScanKernel::Compiled).unwrap();
+        let rebuilt = cache.get_or_build(&clusters[1], &bg);
+        let reference = ClusterAutomaton::compile(&clusters[1].pst, &bg);
         let probe: Vec<cluseq_seq::Symbol> = (0..8).map(|i| cluseq_seq::Symbol(i % 3)).collect();
         assert_eq!(
             rebuilt.scan(&probe).log_sim.to_bits(),
@@ -323,9 +281,7 @@ mod tests {
     fn an_oversized_entry_is_returned_but_not_retained() {
         let (_db, bg, clusters) = fixture(1);
         let mut cache = ModelCache::new(0);
-        let arc = cache
-            .get_or_build(&clusters[0], &bg, ScanKernel::Compiled)
-            .unwrap();
+        let arc = cache.get_or_build(&clusters[0], &bg);
         assert!(arc.table_bytes() > 0, "the caller still gets the build");
         assert!(cache.is_empty(), "0-budget cache retains nothing");
         assert_eq!(cache.resident_bytes(), 0);
@@ -336,7 +292,7 @@ mod tests {
         let (_db, bg, clusters) = fixture(4);
         let mut cache = ModelCache::with_budget_mb(64);
         for c in &clusters {
-            cache.get_or_build(c, &bg, ScanKernel::Quantized);
+            cache.get_or_build(c, &bg);
         }
         assert_eq!(cache.len(), 4);
         cache.invalidate(2);
@@ -344,9 +300,7 @@ mod tests {
         cache.retain_live(|id| id == 0);
         assert_eq!(cache.len(), 1);
         assert!(cache.contains(0));
-        let expected = ClusterAutomaton::build(&clusters[0].pst, &bg, ScanKernel::Quantized)
-            .unwrap()
-            .table_bytes();
+        let expected = ClusterAutomaton::compile(&clusters[0].pst, &bg).table_bytes();
         assert_eq!(cache.resident_bytes(), expected);
         cache.clear();
         assert!(cache.is_empty());

@@ -24,19 +24,26 @@
 //! [`ScanOptions::scan_shard`] the scan splits the examination order into
 //! fixed contiguous position ranges and runs score-then-absorb per shard,
 //! bounding the resident matrix to `shard × clusters.len()`. Every shard
-//! scores against the *iteration-start* models (automata are frozen
-//! before the first shard; the interpreted kernel freezes PST clones), so
-//! shard boundaries are invisible: the absorb order is the examination
-//! order regardless of shard size, and results are bit-identical to the
-//! single-shard scan — `tests/out_of_core.rs` enforces this across store
-//! × kernel × threads × shard.
+//! scores against the *iteration-start* models (their automata are
+//! compiled before the first shard), so shard boundaries are invisible:
+//! the absorb order is the examination order regardless of shard size,
+//! and results are bit-identical to the single-shard scan —
+//! `tests/out_of_core.rs` enforces this across store × threads × shard.
+//!
+//! # Scan kernels
+//!
+//! The kernel follows the model state. [`ScanMode::Incremental`] walks
+//! each PST directly: its models change on every new join, so a compiled
+//! automaton would be stale at the next join. [`ScanMode::Snapshot`]
+//! scores frozen iteration-start models, so it compiles each one once
+//! into a [`ClusterAutomaton`]. Both kernels are bit-identical.
 
 use std::sync::Arc;
 
 use cluseq_seq::{BackgroundModel, SequenceStore};
 
 use crate::cluster::Cluster;
-use crate::config::{ScanKernel, ScanMode};
+use crate::config::ScanMode;
 use crate::incremental::{ColumnBuilder, SimilarityCache};
 use crate::kernel::ClusterAutomaton;
 use crate::models::ModelCache;
@@ -58,18 +65,13 @@ pub struct ScanOptions<'a> {
     /// Worker threads for the snapshot score phase (ignored by the
     /// incremental mode, whose scoring is order-dependent).
     pub threads: usize,
-    /// Which similarity-DP implementation scores each pair. The exact
-    /// kernels are bit-identical (see [`ScanKernel`]); quantized is
-    /// byte-stable within a documented error bound of exact. Automaton
-    /// kernels additionally honour `prune_below`.
-    pub kernel: ScanKernel,
-    /// With an automaton kernel (any but [`ScanKernel::Interpreted`]),
-    /// abandon a pair early once it provably cannot reach this
-    /// log-threshold. Pruning forfeits the pair's similarity sample, so
-    /// the caller must only set this when the histogram feed is not
-    /// consumed (threshold frozen, no records kept); a pruned pair is
-    /// always a non-join, so memberships and models are unaffected.
-    /// Ignored by the interpreted kernel.
+    /// Under [`ScanMode::Snapshot`], abandon a pair early once its
+    /// compiled scan proves it cannot reach this log-threshold. Pruning
+    /// forfeits the pair's similarity sample, so the caller must only set
+    /// this when the histogram feed is not consumed (threshold frozen, no
+    /// records kept); a pruned pair is always a non-join, so memberships
+    /// and models are unaffected. Ignored by [`ScanMode::Incremental`],
+    /// whose PST walk has no early exit.
     pub prune_below: Option<f64>,
     /// Live tracing session. When set, the scan opens `scan_score` /
     /// `scan_absorb` spans and records its [`ScanMetrics`] into the
@@ -99,7 +101,6 @@ impl Default for ScanOptions<'_> {
             mode: ScanMode::Incremental,
             rebuild_psts: false,
             threads: 1,
-            kernel: ScanKernel::default(),
             prune_below: None,
             trace: None,
             scan_shard: None,
@@ -370,15 +371,17 @@ pub fn recluster_cached(
 /// [`recluster_cached`] with an optional paged model cache (see
 /// [`crate::models`]).
 ///
-/// With a [`ModelCache`], the automaton-backed kernels fetch each
-/// cluster's scan automaton through the cache instead of compiling every
-/// automaton every scan: untouched clusters reuse the retained build,
-/// mutated clusters are invalidated here (the scan knows exactly which
-/// models it changed), and the cache's byte budget bounds what survives
-/// between iterations. Because automaton builds are pure, every clustering
-/// observable is bit-identical with or without the cache. Under
-/// [`ScanMode::Snapshot`] with a [`SimilarityCache`], the model cache is
-/// unused (dirty-slot automata are built inside the cached score pass).
+/// With a [`ModelCache`], the uncached [`ScanMode::Snapshot`] scan
+/// fetches each cluster's scan automaton through the cache instead of
+/// compiling every automaton every scan: untouched clusters reuse the
+/// retained build, mutated clusters are invalidated here (the scan knows
+/// exactly which models it changed), and the cache's byte budget bounds
+/// what survives between iterations. Because automaton builds are pure,
+/// every clustering observable is bit-identical with or without the
+/// cache. The other arms build no cached automata: the
+/// [`ScanMode::Incremental`] scan walks the PSTs, and the snapshot scan
+/// with a [`SimilarityCache`] compiles dirty slots inside the cached
+/// score pass.
 #[allow(clippy::too_many_arguments)]
 pub fn recluster_full(
     store: &dyn SequenceStore,
@@ -410,17 +413,15 @@ pub fn recluster_full(
         cache = None;
     }
 
-    // Only an automaton kernel can prove a pair hopeless mid-scan.
-    let prune_below = if options.kernel.uses_automaton() {
-        options.prune_below
-    } else {
-        None
-    };
-
-    match (options.mode, options.kernel) {
-        (ScanMode::Incremental, ScanKernel::Interpreted) => {
-            // Scoring and model updates interleave here, so the whole scan
-            // is attributed to the score phase (absorb stays 0).
+    match options.mode {
+        ScanMode::Incremental => {
+            // The paper's rule mutates a cluster's model mid-scan on every
+            // new join, so every pair walks the PST as it stands right
+            // now — compiling a model that the next join would make stale
+            // does not pay. Scoring and model updates interleave here, so
+            // the whole scan is attributed to the score phase (absorb
+            // stays 0), and the walk has no early exit (`prune_below` is
+            // ignored).
             let _span = options.trace.map(|t| t.span(Phase::ScanScore));
             let start = std::time::Instant::now();
             let mut reuse = cache
@@ -456,76 +457,7 @@ pub fn recluster_full(
             }
             score_nanos = start.elapsed().as_nanos() as u64;
         }
-        (ScanMode::Incremental, kernel) => {
-            // The incremental rule mutates a cluster's model mid-scan on
-            // every new join, so each slot's automaton is built lazily and
-            // rebuilt after a mutation. Joins are rare relative to scored
-            // pairs once the clustering settles, so the automatons live
-            // long enough to pay for themselves. With a cache, a clean
-            // slot's automaton is never built at all — reuse needs no
-            // automaton — so a converged scan compiles nothing.
-            //
-            // Sequences are scanned one at a time here (the mid-scan
-            // mutations forbid batching), which is still exactly the
-            // batched kernel's arithmetic: the batch driver is
-            // bit-identical to the per-pair scan by construction.
-            let _span = options.trace.map(|t| t.span(Phase::ScanScore));
-            let start = std::time::Instant::now();
-            let mut reuse = cache
-                .as_deref()
-                .map(|cache| SerialReuse::new(cache, clusters, n));
-            let mut automata: Vec<Option<ClusterAutomaton>> = vec![None; clusters.len()];
-            let mut compiles = 0u64;
-            let mut reader = store.reader();
-            for &seq_id in order {
-                let seq = reader.symbols(seq_id);
-                for (slot, cluster) in clusters.iter_mut().enumerate() {
-                    let (verdict, reused) =
-                        match reuse.as_ref().and_then(|r| r.lookup(slot, seq_id)) {
-                            Some(verdict) => (verdict, true),
-                            // With a model cache, the slot's automaton is
-                            // fetched through it — retained builds survive
-                            // across scans within the cache's byte budget.
-                            None => match models.as_deref_mut() {
-                                Some(mc) => {
-                                    if !mc.contains(cluster.id) {
-                                        compiles += 1;
-                                    }
-                                    let automaton = mc
-                                        .get_or_build(cluster, background, kernel)
-                                        .expect("automaton-backed kernel");
-                                    (automaton.scan_pruned(seq, prune_below), false)
-                                }
-                                None => {
-                                    let automaton = automata[slot].get_or_insert_with(|| {
-                                        compiles += 1;
-                                        ClusterAutomaton::build(&cluster.pst, background, kernel)
-                                            .expect("automaton-backed kernel")
-                                    });
-                                    (automaton.scan_pruned(seq, prune_below), false)
-                                }
-                            },
-                        };
-                    let mutated = state.apply(seq_id, slot, verdict, seq, cluster, reused);
-                    if mutated {
-                        automata[slot] = None;
-                        if let Some(mc) = models.as_deref_mut() {
-                            mc.invalidate(cluster.id);
-                        }
-                    }
-                    if let Some(reuse) = reuse.as_mut() {
-                        reuse.after_pair(slot, seq_id, verdict, reused, mutated);
-                    }
-                }
-            }
-            if let (Some(reuse), Some(cache)) = (reuse, cache.as_deref_mut()) {
-                state.metrics.clusters_dirty = reuse.dirty_at_start;
-                state.metrics.pst_recompiles = compiles;
-                reuse.commit(cache, clusters, &state.mutated);
-            }
-            score_nanos = start.elapsed().as_nanos() as u64;
-        }
-        (ScanMode::Snapshot, kernel) if cache.is_some() => {
+        ScanMode::Snapshot if cache.is_some() => {
             // Cached snapshot scan: whole-corpus scoring. The similarity
             // cache is O(n·k) resident by design, so sharding the verdict
             // matrix would bound nothing — `scan_shard` is ignored here.
@@ -540,13 +472,12 @@ pub fn recluster_full(
                     clusters,
                     background,
                     order,
-                    kernel,
-                    prune_below,
+                    options.prune_below,
                     cache_ref,
                     options.trace,
                 );
                 state.metrics.clusters_dirty = pass.dirty_slots.len() as u64;
-                state.metrics.pst_recompiles = pass.compiles;
+                state.metrics.pst_recompiles = pass.dirty_slots.len() as u64;
                 score_nanos = pass.nanos;
                 (pass.rows, had_column)
             };
@@ -588,12 +519,9 @@ pub fn recluster_full(
             }
             absorb_nanos = start.elapsed().as_nanos() as u64;
         }
-        (ScanMode::Snapshot, kernel) => {
+        ScanMode::Snapshot => {
             // Uncached snapshot scan, shardable. The iteration-start
-            // models are frozen once, before the first shard: automaton
-            // kernels freeze their compiled tables, the interpreted
-            // kernel freezes PST clones when (and only when) a later
-            // shard could observe an earlier shard's absorb. Each shard
+            // models are compiled once, before the first shard. Each shard
             // then runs score (parallel) → absorb (sequential); shards
             // run in order, so the overall absorb order is exactly the
             // examination order and results are bit-identical to the
@@ -604,35 +532,26 @@ pub fn recluster_full(
                 Some(s) if s > 0 => s.min(n_order.max(1)),
                 _ => n_order.max(1),
             };
-            let mut mc_misses_before = 0u64;
-            let automata: Option<Vec<Arc<ClusterAutomaton>>> = if kernel.uses_automaton() {
-                // Automaton builds are part of the score phase's bill:
-                // they only exist to serve this pass.
-                let start = std::time::Instant::now();
-                let built: Vec<Arc<ClusterAutomaton>> = match models.as_deref_mut() {
-                    Some(mc) => {
-                        mc_misses_before = mc.stats().1;
-                        clusters
-                            .iter()
-                            .map(|c| {
-                                mc.get_or_build(c, background, kernel)
-                                    .expect("automaton-backed kernel")
-                            })
-                            .collect()
-                    }
-                    None => engine
-                        .compile_cluster_automata(clusters, background, kernel)
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect(),
-                };
-                score_nanos += start.elapsed().as_nanos() as u64;
-                Some(built)
-            } else {
-                None
+            // Automaton builds are part of the score phase's bill: they
+            // only exist to serve this pass.
+            let start = std::time::Instant::now();
+            let automata: Vec<Arc<ClusterAutomaton>> = match models.as_deref_mut() {
+                Some(mc) => {
+                    let misses_before = mc.stats().1;
+                    let built = clusters
+                        .iter()
+                        .map(|c| mc.get_or_build(c, background))
+                        .collect();
+                    state.metrics.pst_recompiles += mc.stats().1 - misses_before;
+                    built
+                }
+                None => engine
+                    .compile_cluster_automata(clusters, background)
+                    .into_iter()
+                    .map(Arc::new)
+                    .collect(),
             };
-            let frozen: Option<Vec<Cluster>> =
-                (!kernel.uses_automaton() && shard_len < n_order).then(|| clusters.to_vec());
+            score_nanos += start.elapsed().as_nanos() as u64;
             let mut reader = store.reader();
             for shard in order.chunks(shard_len) {
                 // Score phase: every shard pair against the frozen
@@ -640,35 +559,17 @@ pub fn recluster_full(
                 // sequence `shard[pos]`'s scores in slot order, so the
                 // absorb below visits pairs in exactly the incremental
                 // scan's (sequence, slot) order.
-                let rows: Vec<Vec<BoundedSimilarity>> = match &automata {
-                    Some(automata) => {
-                        let _span = options.trace.map(|t| t.span(Phase::ScanScore));
-                        let (rows, nanos) = engine.score_sequences_automata_metered(
-                            store,
-                            automata,
-                            shard,
-                            prune_below,
-                            kernel,
-                            options.trace,
-                        );
-                        score_nanos += nanos;
-                        rows
-                    }
-                    None => {
-                        let _span = options.trace.map(|t| t.span(Phase::ScanScore));
-                        let src: &[Cluster] = frozen.as_deref().unwrap_or(clusters);
-                        let (rows, nanos) = engine.score_sequences_metered(
-                            store,
-                            src,
-                            background,
-                            shard,
-                            options.trace,
-                        );
-                        score_nanos += nanos;
-                        rows.into_iter()
-                            .map(|row| row.into_iter().map(BoundedSimilarity::Exact).collect())
-                            .collect()
-                    }
+                let rows = {
+                    let _span = options.trace.map(|t| t.span(Phase::ScanScore));
+                    let (rows, nanos) = engine.score_sequences_automata_metered(
+                        store,
+                        &automata,
+                        shard,
+                        options.prune_below,
+                        options.trace,
+                    );
+                    score_nanos += nanos;
+                    rows
                 };
                 // Absorb phase: sequential, in examination order.
                 let _span = options.trace.map(|t| t.span(Phase::ScanAbsorb));
@@ -681,16 +582,12 @@ pub fn recluster_full(
                 }
                 absorb_nanos += start.elapsed().as_nanos() as u64;
             }
-            if let Some(mc) = models.as_deref_mut() {
-                state.metrics.pst_recompiles += mc.stats().1 - mc_misses_before;
-            }
         }
     }
 
     // Model-cache invalidation: the scan knows exactly which models it
-    // mutated. (The serial arms invalidate inline at each mutation; doing
-    // it again here is a harmless no-op. Under `rebuild_psts` every model
-    // is replaced below, so everything cached dies.)
+    // mutated. (Under `rebuild_psts` every model is replaced below, so
+    // everything cached dies.)
     if let Some(mc) = models {
         if options.rebuild_psts {
             mc.clear();
@@ -795,6 +692,7 @@ fn symmetric_difference(a: &[usize], b: &[usize]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::similarity::max_similarity_pst;
     use cluseq_pst::PstParams;
     use cluseq_seq::SequenceDatabase;
 
@@ -1004,90 +902,38 @@ mod tests {
         }
     }
 
-    fn with_kernel<'a>(mut opts: ScanOptions<'a>, kernel: ScanKernel) -> ScanOptions<'a> {
-        opts.kernel = kernel;
-        opts
-    }
-
-    /// The tentpole invariant: the compiled and batched kernels reproduce
-    /// the interpreted kernel bit for bit — similarities, flips,
-    /// memberships, models — in every scan mode and at every thread count.
+    /// The snapshot score pass compiles the frozen iteration-start models:
+    /// every similarity it feeds the histogram must carry the PST walk's
+    /// bits, cached or uncached, at any thread count.
     #[test]
     fn compiled_kernel_scan_is_bit_identical_to_interpreted() {
         let (db, bg) = fixture();
         let order: Vec<usize> = vec![4, 1, 3, 0, 2];
-        let run = |opts: ScanOptions| {
-            let mut clusters = make_clusters(&db, &[0, 3]);
-            let out = recluster(&db, &mut clusters, 0.05, &order, &bg, opts);
-            let members: Vec<Vec<usize>> = clusters.iter().map(|c| c.members.clone()).collect();
-            let counts: Vec<u64> = clusters.iter().map(|c| c.pst.total_count()).collect();
-            let sims: Vec<u64> = out.similarities.iter().map(|s| s.to_bits()).collect();
-            (sims, out.changes, out.best_cluster, members, counts)
-        };
-        for base in [incremental(), rebuild(), snapshot(1), snapshot(4)] {
-            let reference = run(with_kernel(base, ScanKernel::Interpreted));
-            for kernel in [ScanKernel::Compiled, ScanKernel::Batched] {
-                assert_eq!(
-                    run(with_kernel(base, kernel)),
-                    reference,
-                    "kernel {kernel} mode {:?} rebuild {}",
-                    base.mode,
-                    base.rebuild_psts,
-                );
+        let start = make_clusters(&db, &[0, 3]);
+        let mut want = Vec::new();
+        for &id in &order {
+            for cluster in &start {
+                let sim = max_similarity_pst(&cluster.pst, &bg, db.sequence(id).symbols());
+                if sim.log_sim.is_finite() {
+                    want.push(sim.log_sim.to_bits());
+                }
             }
         }
-    }
-
-    /// The quantized kernel is approximate but *deterministic*: the same
-    /// scan yields byte-identical results in every mode and at every
-    /// thread count, and every similarity it reports sits within the
-    /// per-automaton error bound of the exact kernel's value.
-    #[test]
-    fn quantized_kernel_scan_is_deterministic_and_near_exact() {
-        let (db, bg) = fixture();
-        let order: Vec<usize> = vec![4, 1, 3, 0, 2];
-        let run = |opts: ScanOptions| {
-            let mut clusters = make_clusters(&db, &[0, 3]);
-            let out = recluster(&db, &mut clusters, 0.05, &order, &bg, opts);
-            let members: Vec<Vec<usize>> = clusters.iter().map(|c| c.members.clone()).collect();
-            let counts: Vec<u64> = clusters.iter().map(|c| c.pst.total_count()).collect();
-            let sims: Vec<u64> = out.similarities.iter().map(|s| s.to_bits()).collect();
-            (sims, out.changes, out.best_cluster, members, counts)
-        };
-        // Snapshot scans are one deterministic function of their inputs:
-        // every thread count reproduces threads = 1 byte for byte.
-        let reference = run(with_kernel(snapshot(1), ScanKernel::Quantized));
-        for threads in [2usize, 4, 8] {
-            assert_eq!(
-                run(with_kernel(snapshot(threads), ScanKernel::Quantized)),
-                reference,
-                "threads={threads}"
-            );
-        }
-        // And repeating the identical incremental scan is a no-op diff.
-        assert_eq!(
-            run(with_kernel(incremental(), ScanKernel::Quantized)),
-            run(with_kernel(incremental(), ScanKernel::Quantized)),
-        );
-        // Near-exactness on a fixed model: every quantized similarity of
-        // the first scored row is within the automaton's error bound.
-        let clusters = make_clusters(&db, &[0, 3]);
-        for cluster in &clusters {
-            let exact = ClusterAutomaton::build(&cluster.pst, &bg, ScanKernel::Compiled).unwrap();
-            let quant = ClusterAutomaton::build(&cluster.pst, &bg, ScanKernel::Quantized).unwrap();
-            let ClusterAutomaton::Quantized(ref q) = quant else {
-                unreachable!()
-            };
-            for id in 0..db.len() {
-                let seq = db.sequence(id).symbols();
-                let e = exact.scan(seq).log_sim;
-                let a = quant.scan(seq).log_sim;
-                assert!(
-                    (e - a).abs() <= q.error_bound(seq.len()),
-                    "cluster {} seq {id}: exact {e} quantized {a} bound {}",
-                    cluster.id,
-                    q.error_bound(seq.len())
+        for threads in [1usize, 4] {
+            for cached in [false, true] {
+                let mut clusters = start.clone();
+                let mut cache = SimilarityCache::new(db.len());
+                let out = recluster_cached(
+                    &db,
+                    &mut clusters,
+                    0.05,
+                    &order,
+                    &bg,
+                    snapshot(threads),
+                    cached.then_some(&mut cache),
                 );
+                let got: Vec<u64> = out.similarities.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(got, want, "threads {threads} cached {cached}");
             }
         }
     }
@@ -1123,49 +969,46 @@ mod tests {
             (out, members, counts)
         };
 
-        for base in [incremental(), snapshot(2)] {
-            for kernel in [
-                ScanKernel::Compiled,
-                ScanKernel::Batched,
-                ScanKernel::Quantized,
-            ] {
-                let mut pruned_opts = with_kernel(base, kernel);
-                pruned_opts.prune_below = Some(log_t);
-                let (out_p, members_p, counts_p) = run(pruned_opts);
-                let (out_x, members_x, counts_x) = run(with_kernel(base, kernel));
+        // Only the snapshot scan's compiled kernel can prune; the
+        // incremental scan's PST walk ignores the bound.
+        for (base, prunes) in [(incremental(), false), (snapshot(2), true)] {
+            let mut pruned_opts = base;
+            pruned_opts.prune_below = Some(log_t);
+            let (out_p, members_p, counts_p) = run(pruned_opts);
+            let (out_x, members_x, counts_x) = run(base);
 
-                assert!(
-                    out_p.metrics.pairs_pruned > 0,
-                    "mode {:?} kernel {kernel}: cross-group pairs should be prunable",
-                    base.mode
-                );
-                assert_eq!(out_x.metrics.pairs_pruned, 0, "no pruning when disabled");
-                assert!(out_x.metrics.joins > 0, "the threshold must stay reachable");
-                assert_eq!(out_p.metrics.pairs_scored, out_x.metrics.pairs_scored);
-                assert_eq!(out_p.metrics.joins, out_x.metrics.joins);
-                assert_eq!(out_p.metrics.new_joins, out_x.metrics.new_joins);
-                assert_eq!(out_p.changes, out_x.changes);
-                assert_eq!(out_p.best_cluster, out_x.best_cluster);
-                assert_eq!(members_p, members_x);
-                assert_eq!(counts_p, counts_x);
-                // A pruned pair forfeits its histogram sample — the only
-                // observable difference.
-                assert_eq!(
-                    out_p.similarities.len() + out_p.metrics.pairs_pruned as usize,
-                    out_x.similarities.len() + out_x.metrics.pairs_pruned as usize
-                );
-            }
+            assert_eq!(
+                out_p.metrics.pairs_pruned > 0,
+                prunes,
+                "mode {:?}: cross-group pairs should be prunable exactly when compiled",
+                base.mode
+            );
+            assert_eq!(out_x.metrics.pairs_pruned, 0, "no pruning when disabled");
+            assert!(out_x.metrics.joins > 0, "the threshold must stay reachable");
+            assert_eq!(out_p.metrics.pairs_scored, out_x.metrics.pairs_scored);
+            assert_eq!(out_p.metrics.joins, out_x.metrics.joins);
+            assert_eq!(out_p.metrics.new_joins, out_x.metrics.new_joins);
+            assert_eq!(out_p.changes, out_x.changes);
+            assert_eq!(out_p.best_cluster, out_x.best_cluster);
+            assert_eq!(members_p, members_x);
+            assert_eq!(counts_p, counts_x);
+            // A pruned pair forfeits its histogram sample — the only
+            // observable difference.
+            assert_eq!(
+                out_p.similarities.len() + out_p.metrics.pairs_pruned as usize,
+                out_x.similarities.len() + out_x.metrics.pairs_pruned as usize
+            );
         }
     }
 
-    /// The interpreted kernel cannot prune: a stray `prune_below` must be
-    /// ignored rather than half-applied.
+    /// The incremental scan's PST walk cannot prune: a stray
+    /// `prune_below` must be ignored rather than half-applied.
     #[test]
     fn interpreted_kernel_ignores_prune_below() {
         let (db, bg) = fixture();
         let order: Vec<usize> = (0..db.len()).collect();
         let mut clusters = make_clusters(&db, &[0, 3]);
-        let mut opts = with_kernel(incremental(), ScanKernel::Interpreted);
+        let mut opts = incremental();
         opts.prune_below = Some(1e9);
         let out = recluster(&db, &mut clusters, 0.05, &order, &bg, opts);
         assert_eq!(out.metrics.pairs_pruned, 0);
@@ -1173,59 +1016,56 @@ mod tests {
     }
 
     /// A traced scan leaves its outputs untouched and lands exactly the
-    /// scan's [`ScanMetrics`] in the registry — regardless of mode,
-    /// kernel, or thread count (the per-shard vs barrier-merge split must
-    /// never double- or under-count).
+    /// scan's [`ScanMetrics`] in the registry — regardless of mode or
+    /// thread count (the per-shard vs barrier-merge split must never
+    /// double- or under-count).
     #[test]
     fn traced_scan_registry_equals_scan_metrics() {
         use crate::trace::{Counter, TraceSession};
         let (db, bg) = fixture();
         let order: Vec<usize> = vec![4, 1, 3, 0, 2];
-        for base in [incremental(), snapshot(1), snapshot(4)] {
-            for kernel in ScanKernel::ALL {
-                let opts = with_kernel(base, kernel);
-                let mut plain_clusters = make_clusters(&db, &[0, 3]);
-                let plain = recluster(&db, &mut plain_clusters, 0.05, &order, &bg, opts);
+        for opts in [incremental(), snapshot(1), snapshot(4)] {
+            let mut plain_clusters = make_clusters(&db, &[0, 3]);
+            let plain = recluster(&db, &mut plain_clusters, 0.05, &order, &bg, opts);
 
-                let session = TraceSession::in_memory();
-                let mut traced_clusters = make_clusters(&db, &[0, 3]);
-                let traced_opts = ScanOptions {
-                    trace: Some(&session),
-                    ..opts
-                };
-                let traced = recluster(&db, &mut traced_clusters, 0.05, &order, &bg, traced_opts);
+            let session = TraceSession::in_memory();
+            let mut traced_clusters = make_clusters(&db, &[0, 3]);
+            let traced_opts = ScanOptions {
+                trace: Some(&session),
+                ..opts
+            };
+            let traced = recluster(&db, &mut traced_clusters, 0.05, &order, &bg, traced_opts);
 
-                let ctx = format!("mode {:?} kernel {:?}", base.mode, kernel);
-                let bits = |sims: &[f64]| sims.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&plain.similarities),
-                    bits(&traced.similarities),
-                    "{ctx}"
-                );
-                assert_eq!(plain.changes, traced.changes, "{ctx}");
-                for (a, b) in plain_clusters.iter().zip(&traced_clusters) {
-                    assert_eq!(a.members, b.members, "{ctx}");
-                    assert_eq!(a.pst.total_count(), b.pst.total_count(), "{ctx}");
-                }
-                let m = traced.metrics;
-                assert_eq!(
-                    session.counter(Counter::PairsScored),
-                    m.pairs_scored,
-                    "{ctx}"
-                );
-                assert_eq!(
-                    session.counter(Counter::PairsPruned),
-                    m.pairs_pruned,
-                    "{ctx}"
-                );
-                assert_eq!(session.counter(Counter::Joins), m.joins, "{ctx}");
-                assert_eq!(session.counter(Counter::NewJoins), m.new_joins, "{ctx}");
-                assert_eq!(
-                    session.counter(Counter::MembershipChanges),
-                    m.membership_changes as u64,
-                    "{ctx}"
-                );
+            let ctx = format!("mode {:?} threads {}", opts.mode, opts.threads);
+            let bits = |sims: &[f64]| sims.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&plain.similarities),
+                bits(&traced.similarities),
+                "{ctx}"
+            );
+            assert_eq!(plain.changes, traced.changes, "{ctx}");
+            for (a, b) in plain_clusters.iter().zip(&traced_clusters) {
+                assert_eq!(a.members, b.members, "{ctx}");
+                assert_eq!(a.pst.total_count(), b.pst.total_count(), "{ctx}");
             }
+            let m = traced.metrics;
+            assert_eq!(
+                session.counter(Counter::PairsScored),
+                m.pairs_scored,
+                "{ctx}"
+            );
+            assert_eq!(
+                session.counter(Counter::PairsPruned),
+                m.pairs_pruned,
+                "{ctx}"
+            );
+            assert_eq!(session.counter(Counter::Joins), m.joins, "{ctx}");
+            assert_eq!(session.counter(Counter::NewJoins), m.new_joins, "{ctx}");
+            assert_eq!(
+                session.counter(Counter::MembershipChanges),
+                m.membership_changes as u64,
+                "{ctx}"
+            );
         }
     }
 
@@ -1256,45 +1096,45 @@ mod tests {
                     .collect::<Vec<_>>(),
             )
         };
-        for base in [incremental(), snapshot(1), snapshot(4)] {
-            for kernel in ScanKernel::ALL {
-                let opts = with_kernel(base, kernel);
-                let mut plain_clusters = make_clusters(&db, &[0, 3]);
-                let mut cached_clusters = make_clusters(&db, &[0, 3]);
-                let mut cache = SimilarityCache::new(db.len());
-                for round in 0..3 {
-                    let plain = recluster(&db, &mut plain_clusters, 0.05, &order, &bg, opts);
-                    let cached = recluster_cached(
-                        &db,
-                        &mut cached_clusters,
-                        0.05,
-                        &order,
-                        &bg,
-                        opts,
-                        Some(&mut cache),
-                    );
-                    let ctx = format!("mode {:?} kernel {:?} round {round}", base.mode, kernel);
-                    assert_eq!(
-                        observe(&plain, &plain_clusters),
-                        observe(&cached, &cached_clusters),
-                        "{ctx}"
-                    );
-                    assert_eq!(cached.metrics.joins, plain.metrics.joins, "{ctx}");
-                    // Reuse replaces scoring one for one.
-                    assert_eq!(
-                        cached.metrics.pairs_scored + cached.metrics.pairs_reused,
-                        plain.metrics.pairs_scored,
-                        "{ctx}"
-                    );
-                    if round == 2 {
-                        // Round 0 mutates both models (new joins), so no
-                        // columns survive it; round 1 rescores and caches;
-                        // round 2 must reuse everything.
-                        assert_eq!(cached.metrics.pairs_reused, (db.len() * 2) as u64, "{ctx}");
-                        assert_eq!(cached.metrics.pairs_scored, 0, "{ctx}");
-                        assert_eq!(cached.metrics.clusters_dirty, 0, "{ctx}");
-                        assert_eq!(cached.metrics.pst_recompiles, 0, "{ctx}");
-                    }
+        for opts in [incremental(), snapshot(1), snapshot(4)] {
+            let mut plain_clusters = make_clusters(&db, &[0, 3]);
+            let mut cached_clusters = make_clusters(&db, &[0, 3]);
+            let mut cache = SimilarityCache::new(db.len());
+            for round in 0..3 {
+                let plain = recluster(&db, &mut plain_clusters, 0.05, &order, &bg, opts);
+                let cached = recluster_cached(
+                    &db,
+                    &mut cached_clusters,
+                    0.05,
+                    &order,
+                    &bg,
+                    opts,
+                    Some(&mut cache),
+                );
+                let ctx = format!(
+                    "mode {:?} threads {} round {round}",
+                    opts.mode, opts.threads
+                );
+                assert_eq!(
+                    observe(&plain, &plain_clusters),
+                    observe(&cached, &cached_clusters),
+                    "{ctx}"
+                );
+                assert_eq!(cached.metrics.joins, plain.metrics.joins, "{ctx}");
+                // Reuse replaces scoring one for one.
+                assert_eq!(
+                    cached.metrics.pairs_scored + cached.metrics.pairs_reused,
+                    plain.metrics.pairs_scored,
+                    "{ctx}"
+                );
+                if round == 2 {
+                    // Round 0 mutates both models (new joins), so no
+                    // columns survive it; round 1 rescores and caches;
+                    // round 2 must reuse everything.
+                    assert_eq!(cached.metrics.pairs_reused, (db.len() * 2) as u64, "{ctx}");
+                    assert_eq!(cached.metrics.pairs_scored, 0, "{ctx}");
+                    assert_eq!(cached.metrics.clusters_dirty, 0, "{ctx}");
+                    assert_eq!(cached.metrics.pst_recompiles, 0, "{ctx}");
                 }
             }
         }
@@ -1302,61 +1142,62 @@ mod tests {
 
     /// Traced cached scans land exactly their [`ScanMetrics`] in the
     /// registry, including the three incremental counters, at every
-    /// mode × kernel × round point.
+    /// mode × threads × round point.
     #[test]
     fn traced_cached_scan_registry_equals_scan_metrics() {
         use crate::trace::{Counter, TraceSession};
         let (db, bg) = fixture();
         let order: Vec<usize> = (0..db.len()).collect();
         for base in [incremental(), snapshot(1), snapshot(4)] {
-            for kernel in ScanKernel::ALL {
-                let mut clusters = make_clusters(&db, &[0, 3]);
-                let mut cache = SimilarityCache::new(db.len());
-                for round in 0..3 {
-                    let session = TraceSession::in_memory();
-                    let opts = ScanOptions {
-                        trace: Some(&session),
-                        ..with_kernel(base, kernel)
-                    };
-                    let out = recluster_cached(
-                        &db,
-                        &mut clusters,
-                        0.05,
-                        &order,
-                        &bg,
-                        opts,
-                        Some(&mut cache),
-                    );
-                    let m = out.metrics;
-                    let ctx = format!("mode {:?} kernel {:?} round {round}", base.mode, kernel);
-                    assert_eq!(
-                        session.counter(Counter::PairsScored),
-                        m.pairs_scored,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        session.counter(Counter::PairsPruned),
-                        m.pairs_pruned,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        session.counter(Counter::PairsReused),
-                        m.pairs_reused,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        session.counter(Counter::ClustersDirty),
-                        m.clusters_dirty,
-                        "{ctx}"
-                    );
-                    assert_eq!(
-                        session.counter(Counter::PstRecompiles),
-                        m.pst_recompiles,
-                        "{ctx}"
-                    );
-                    if round == 2 {
-                        assert!(m.pairs_reused > 0, "{ctx}");
-                    }
+            let mut clusters = make_clusters(&db, &[0, 3]);
+            let mut cache = SimilarityCache::new(db.len());
+            for round in 0..3 {
+                let session = TraceSession::in_memory();
+                let opts = ScanOptions {
+                    trace: Some(&session),
+                    ..base
+                };
+                let out = recluster_cached(
+                    &db,
+                    &mut clusters,
+                    0.05,
+                    &order,
+                    &bg,
+                    opts,
+                    Some(&mut cache),
+                );
+                let m = out.metrics;
+                let ctx = format!(
+                    "mode {:?} threads {} round {round}",
+                    opts.mode, opts.threads
+                );
+                assert_eq!(
+                    session.counter(Counter::PairsScored),
+                    m.pairs_scored,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    session.counter(Counter::PairsPruned),
+                    m.pairs_pruned,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    session.counter(Counter::PairsReused),
+                    m.pairs_reused,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    session.counter(Counter::ClustersDirty),
+                    m.clusters_dirty,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    session.counter(Counter::PstRecompiles),
+                    m.pst_recompiles,
+                    "{ctx}"
+                );
+                if round == 2 {
+                    assert!(m.pairs_reused > 0, "{ctx}");
                 }
             }
         }

@@ -22,18 +22,13 @@
 
 use std::borrow::Borrow;
 
-use cluseq_pst::{CompiledPst, Pst};
-use cluseq_seq::{BackgroundModel, Sequence, SequenceStore, Symbol};
+use cluseq_pst::Pst;
+use cluseq_seq::{BackgroundModel, SequenceStore};
 
 use crate::cluster::Cluster;
-use crate::config::ScanKernel;
 use crate::incremental::SimilarityCache;
 use crate::kernel::ClusterAutomaton;
-use crate::similarity::{
-    max_similarity_compiled, max_similarity_compiled_bounded, max_similarity_pst,
-    max_similarity_pst_with_scratch, prune_count, BoundedSimilarity, SegmentSimilarity,
-    BATCH_LANES,
-};
+use crate::similarity::{max_similarity_pst, prune_count, BoundedSimilarity, SegmentSimilarity};
 use crate::trace::{self, Counter, HistKind, TraceSession};
 
 /// Maps `f` over `0..n` using up to `threads` scoped worker threads.
@@ -150,11 +145,9 @@ pub struct CachedScorePass {
     /// Wall time of the whole pass (dirty-slot automaton compiles plus
     /// scoring), in nanoseconds.
     pub nanos: u64,
-    /// Slots scored fresh (no valid cached column), ascending.
+    /// Slots scored fresh (no valid cached column), ascending — one
+    /// automaton is compiled per dirty slot.
     pub dirty_slots: Vec<usize>,
-    /// Automata compiled — `dirty_slots.len()` under the compiled kernel,
-    /// 0 under the interpreted one.
-    pub compiles: u64,
 }
 
 /// A configured scorer: the thread count plus the similarity shapes the
@@ -181,233 +174,34 @@ impl ScoreEngine {
         self.threads
     }
 
-    /// Scores every sequence in `order` against every cluster model.
+    /// Compiles every cluster's PST into its [`ClusterAutomaton`], in slot
+    /// order. The compile cost is paid once per frozen model, then
+    /// amortized over every sequence scored against it.
+    pub fn compile_cluster_automata(
+        &self,
+        clusters: &[Cluster],
+        background: &BackgroundModel,
+    ) -> Vec<ClusterAutomaton> {
+        parallel_map(clusters.len(), self.threads, |slot| {
+            ClusterAutomaton::compile(&clusters[slot].pst, background)
+        })
+    }
+
+    /// Scores every sequence in `order` against every automaton, with
+    /// optional threshold early-exit.
     ///
-    /// `out[pos][slot]` is the similarity of sequence `order[pos]` to
-    /// `clusters[slot]`, all evaluated against the models as passed in.
+    /// `out[pos][slot]` is the verdict of sequence `order[pos]` against
+    /// `automata[slot]`. With `prune_below = None` every entry is
+    /// [`BoundedSimilarity::Exact`] and bit-identical to
+    /// [`max_similarity_pst`] on the compiled tree; with `Some(log_t)`,
+    /// pairs provably below `log_t` may come back
+    /// [`BoundedSimilarity::Pruned`] instead.
     ///
     /// Every scoring method takes the corpus as a [`SequenceStore`]: a
     /// resident [`cluseq_seq::SequenceDatabase`] coerces to the trait
     /// object and reads zero-copy, while a [`cluseq_seq::FileStore`]
     /// streams each worker's chunk through that worker's own windowed
     /// reader — the scores are bit-identical either way.
-    pub fn score_sequences(
-        &self,
-        store: &dyn SequenceStore,
-        clusters: &[Cluster],
-        background: &BackgroundModel,
-        order: &[usize],
-    ) -> Vec<Vec<SegmentSimilarity>> {
-        parallel_map_with(
-            order.len(),
-            self.threads,
-            || store.reader(),
-            |reader, pos| {
-                let seq = reader.symbols(order[pos]);
-                clusters
-                    .iter()
-                    .map(|cluster| max_similarity_pst(&cluster.pst, background, seq))
-                    .collect()
-            },
-        )
-    }
-
-    /// [`score_sequences`](ScoreEngine::score_sequences) plus the wall
-    /// time of the whole scoring pass in nanoseconds — the telemetry
-    /// layer's `scan_score` phase attribution. The scores themselves are
-    /// identical to the untimed call.
-    pub fn score_sequences_timed(
-        &self,
-        store: &dyn SequenceStore,
-        clusters: &[Cluster],
-        background: &BackgroundModel,
-        order: &[usize],
-    ) -> (Vec<Vec<SegmentSimilarity>>, u64) {
-        self.score_sequences_metered(store, clusters, background, order, None)
-    }
-
-    /// [`score_sequences_timed`](ScoreEngine::score_sequences_timed) that
-    /// additionally records per-row metrics into `trace` when one is
-    /// given: each worker writes `pairs_scored` and a `score_row` latency
-    /// observation into its own registry shard, contention-free. Scores
-    /// are identical either way — the registry is write-only here.
-    pub fn score_sequences_metered(
-        &self,
-        store: &dyn SequenceStore,
-        clusters: &[Cluster],
-        background: &BackgroundModel,
-        order: &[usize],
-        trace: Option<&TraceSession>,
-    ) -> (Vec<Vec<SegmentSimilarity>>, u64) {
-        let start = std::time::Instant::now();
-        let rows = match trace {
-            None => self.score_sequences(store, clusters, background, order),
-            Some(trace) => {
-                let chunk = plan_chunk(order.len(), self.threads);
-                parallel_map_with(
-                    order.len(),
-                    self.threads,
-                    || store.reader(),
-                    |reader, pos| {
-                        let row_start = std::time::Instant::now();
-                        let seq = reader.symbols(order[pos]);
-                        let row: Vec<SegmentSimilarity> = clusters
-                            .iter()
-                            .map(|cluster| max_similarity_pst(&cluster.pst, background, seq))
-                            .collect();
-                        let shard = trace::shard_for(pos, chunk);
-                        trace.add_at(shard, Counter::PairsScored, row.len() as u64);
-                        trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(row_start));
-                        row
-                    },
-                )
-            }
-        };
-        (rows, trace::nanos_since(start))
-    }
-
-    /// Compiles every cluster's PST into its scan automaton, in slot
-    /// order. A helper for the compiled-kernel scoring paths; the compile
-    /// cost is paid once per frozen model, then amortized over every
-    /// sequence scored against it.
-    pub fn compile_clusters(
-        &self,
-        clusters: &[Cluster],
-        background: &BackgroundModel,
-    ) -> Vec<CompiledPst> {
-        parallel_map(clusters.len(), self.threads, |slot| {
-            CompiledPst::compile(&clusters[slot].pst, background)
-        })
-    }
-
-    /// [`score_sequences`](ScoreEngine::score_sequences) over precompiled
-    /// automatons, with optional threshold early-exit.
-    ///
-    /// `compiled[slot]` must be the compilation of `clusters[slot]` against
-    /// the same background model. With `prune_below = None` every entry is
-    /// [`BoundedSimilarity::Exact`] and bit-identical to the interpreted
-    /// engine; with `Some(log_t)`, pairs provably below `log_t` may come
-    /// back [`BoundedSimilarity::Pruned`] instead (see
-    /// [`max_similarity_compiled_bounded`]).
-    pub fn score_sequences_compiled(
-        &self,
-        store: &dyn SequenceStore,
-        compiled: &[CompiledPst],
-        order: &[usize],
-        prune_below: Option<f64>,
-    ) -> Vec<Vec<BoundedSimilarity>> {
-        parallel_map_with(
-            order.len(),
-            self.threads,
-            || store.reader(),
-            |reader, pos| {
-                let seq = reader.symbols(order[pos]);
-                compiled
-                    .iter()
-                    .map(|automaton| match prune_below {
-                        Some(log_t) => max_similarity_compiled_bounded(automaton, seq, log_t),
-                        None => BoundedSimilarity::Exact(max_similarity_compiled(automaton, seq)),
-                    })
-                    .collect()
-            },
-        )
-    }
-
-    /// [`score_sequences_compiled`](ScoreEngine::score_sequences_compiled)
-    /// plus the wall time of the pass (including nothing else — the caller
-    /// times compilation separately if it wants it attributed).
-    pub fn score_sequences_compiled_timed(
-        &self,
-        store: &dyn SequenceStore,
-        compiled: &[CompiledPst],
-        order: &[usize],
-        prune_below: Option<f64>,
-    ) -> (Vec<Vec<BoundedSimilarity>>, u64) {
-        self.score_sequences_compiled_metered(store, compiled, order, prune_below, None)
-    }
-
-    /// [`score_sequences_compiled_timed`](ScoreEngine::score_sequences_compiled_timed)
-    /// with optional per-row metrics (see
-    /// [`score_sequences_metered`](ScoreEngine::score_sequences_metered));
-    /// pruned pairs additionally count into `pairs_pruned`, recorded by
-    /// the worker that proved the prune.
-    pub fn score_sequences_compiled_metered(
-        &self,
-        store: &dyn SequenceStore,
-        compiled: &[CompiledPst],
-        order: &[usize],
-        prune_below: Option<f64>,
-        trace: Option<&TraceSession>,
-    ) -> (Vec<Vec<BoundedSimilarity>>, u64) {
-        let start = std::time::Instant::now();
-        let rows = match trace {
-            None => self.score_sequences_compiled(store, compiled, order, prune_below),
-            Some(trace) => {
-                let chunk = plan_chunk(order.len(), self.threads);
-                parallel_map_with(
-                    order.len(),
-                    self.threads,
-                    || store.reader(),
-                    |reader, pos| {
-                        let row_start = std::time::Instant::now();
-                        let seq = reader.symbols(order[pos]);
-                        let row: Vec<BoundedSimilarity> = compiled
-                            .iter()
-                            .map(|automaton| match prune_below {
-                                Some(log_t) => {
-                                    max_similarity_compiled_bounded(automaton, seq, log_t)
-                                }
-                                None => BoundedSimilarity::Exact(max_similarity_compiled(
-                                    automaton, seq,
-                                )),
-                            })
-                            .collect();
-                        let shard = trace::shard_for(pos, chunk);
-                        trace.add_at(shard, Counter::PairsScored, row.len() as u64);
-                        trace.add_at(shard, Counter::PairsPruned, prune_count(&row));
-                        trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(row_start));
-                        row
-                    },
-                )
-            }
-        };
-        (rows, trace::nanos_since(start))
-    }
-
-    /// Builds every cluster's [`ClusterAutomaton`] for `kernel`, in slot
-    /// order. The generalization of
-    /// [`compile_clusters`](ScoreEngine::compile_clusters) to every
-    /// automaton-backed kernel.
-    ///
-    /// # Panics
-    ///
-    /// If `kernel` is [`ScanKernel::Interpreted`], which has no automaton.
-    pub fn compile_cluster_automata(
-        &self,
-        clusters: &[Cluster],
-        background: &BackgroundModel,
-        kernel: ScanKernel,
-    ) -> Vec<ClusterAutomaton> {
-        assert!(
-            kernel.uses_automaton(),
-            "the interpreted kernel scans the tree directly"
-        );
-        parallel_map(clusters.len(), self.threads, |slot| {
-            ClusterAutomaton::build(&clusters[slot].pst, background, kernel)
-                .expect("automaton-backed kernel")
-        })
-    }
-
-    /// [`score_sequences_compiled`](ScoreEngine::score_sequences_compiled)
-    /// generalized over [`ClusterAutomaton`]s: scores every sequence in
-    /// `order` against every automaton, honoring `prune_below`.
-    ///
-    /// `kernel` selects the *driver*, not the tables (those are baked into
-    /// `automata`): under [`ScanKernel::Batched`] the order is split into
-    /// [`BATCH_LANES`]-wide groups and each group is scanned through the
-    /// interleaved batch driver — per-lane results are bit-identical to
-    /// the per-pair scan, so the choice reorders memory traffic, never
-    /// arithmetic. Every other kernel scans row by row.
     ///
     /// `automata` is generic over [`Borrow`] so both owned
     /// `[ClusterAutomaton]` slices and `[std::sync::Arc<ClusterAutomaton>]`
@@ -418,89 +212,47 @@ impl ScoreEngine {
         automata: &[A],
         order: &[usize],
         prune_below: Option<f64>,
-        kernel: ScanKernel,
     ) -> Vec<Vec<BoundedSimilarity>> {
-        self.score_sequences_automata_metered(store, automata, order, prune_below, kernel, None)
+        self.score_sequences_automata_metered(store, automata, order, prune_below, None)
             .0
     }
 
     /// [`score_sequences_automata`](ScoreEngine::score_sequences_automata)
-    /// plus wall time, with optional per-worker metrics. Pair counters
-    /// total identically under both drivers; the `score_row` latency
-    /// histogram records one observation per row (per-pair driver) or per
-    /// lane group (batched driver).
-    #[allow(clippy::too_many_arguments)]
+    /// plus the wall time of the pass, with optional per-row metrics: when
+    /// `trace` is given, each worker writes `pairs_scored`,
+    /// `pairs_pruned`, and a `score_row` latency observation into its own
+    /// registry shard, contention-free. Verdicts are identical either way
+    /// — the registry is write-only here.
     pub fn score_sequences_automata_metered<A: Borrow<ClusterAutomaton> + Sync>(
         &self,
         store: &dyn SequenceStore,
         automata: &[A],
         order: &[usize],
         prune_below: Option<f64>,
-        kernel: ScanKernel,
         trace: Option<&TraceSession>,
     ) -> (Vec<Vec<BoundedSimilarity>>, u64) {
         let start = std::time::Instant::now();
-        let rows = if kernel == ScanKernel::Batched {
-            let n_groups = order.len().div_ceil(BATCH_LANES);
-            let chunk = plan_chunk(n_groups, self.threads);
-            let group_rows: Vec<Vec<Vec<BoundedSimilarity>>> = parallel_map_with(
-                n_groups,
-                self.threads,
-                || store.reader(),
-                |reader, g| {
-                    let group_start = std::time::Instant::now();
-                    let lo = g * BATCH_LANES;
-                    let hi = (lo + BATCH_LANES).min(order.len());
-                    // The batch driver needs every lane's symbols alive at
-                    // once; a reader hands out one slice at a time, so the
-                    // lanes are copied into an owned arena first.
-                    let lanes: Vec<Sequence> =
-                        (lo..hi).map(|pos| reader.sequence(order[pos])).collect();
-                    let seqs: Vec<&[Symbol]> = lanes.iter().map(Sequence::symbols).collect();
-                    let mut rows: Vec<Vec<BoundedSimilarity>> = (lo..hi)
-                        .map(|_| Vec::with_capacity(automata.len()))
-                        .collect();
-                    for automaton in automata {
-                        let lane_verdicts = automaton.borrow().scan_batch(&seqs, prune_below);
-                        for (lane, verdict) in lane_verdicts.into_iter().enumerate() {
-                            rows[lane].push(verdict);
-                        }
-                    }
-                    if let Some(trace) = trace {
-                        let shard = trace::shard_for(g, chunk);
-                        let scored = (rows.len() * automata.len()) as u64;
-                        let pruned: u64 = rows.iter().map(|row| prune_count(row)).sum();
-                        trace.add_at(shard, Counter::PairsScored, scored);
-                        trace.add_at(shard, Counter::PairsPruned, pruned);
-                        trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(group_start));
-                    }
-                    rows
-                },
-            );
-            group_rows.into_iter().flatten().collect()
-        } else {
-            let chunk = plan_chunk(order.len(), self.threads);
-            parallel_map_with(
-                order.len(),
-                self.threads,
-                || store.reader(),
-                |reader, pos| {
-                    let row_start = std::time::Instant::now();
-                    let seq = reader.symbols(order[pos]);
-                    let row: Vec<BoundedSimilarity> = automata
-                        .iter()
-                        .map(|automaton| automaton.borrow().scan_pruned(seq, prune_below))
-                        .collect();
-                    if let Some(trace) = trace {
-                        let shard = trace::shard_for(pos, chunk);
-                        trace.add_at(shard, Counter::PairsScored, row.len() as u64);
-                        trace.add_at(shard, Counter::PairsPruned, prune_count(&row));
-                        trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(row_start));
-                    }
-                    row
-                },
-            )
-        };
+        let chunk = plan_chunk(order.len(), self.threads);
+        let rows = parallel_map_with(
+            order.len(),
+            self.threads,
+            || store.reader(),
+            |reader, pos| {
+                let row_start = std::time::Instant::now();
+                let seq = reader.symbols(order[pos]);
+                let row: Vec<BoundedSimilarity> = automata
+                    .iter()
+                    .map(|automaton| automaton.borrow().scan_pruned(seq, prune_below))
+                    .collect();
+                if let Some(trace) = trace {
+                    let shard = trace::shard_for(pos, chunk);
+                    trace.add_at(shard, Counter::PairsScored, row.len() as u64);
+                    trace.add_at(shard, Counter::PairsPruned, prune_count(&row));
+                    trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(row_start));
+                }
+                row
+            },
+        );
         (rows, trace::nanos_since(start))
     }
 
@@ -509,19 +261,11 @@ impl ScoreEngine {
     ///
     /// `rows[pos][slot]` is the verdict of sequence `order[pos]` against
     /// `clusters[slot]`: read straight from `cache` when the cluster has a
-    /// valid column, computed fresh otherwise. Fresh verdicts use `kernel`
-    /// (automata are built here, for dirty slots only) and honor
-    /// `prune_below` under the automaton kernels, exactly like the
-    /// uncached paths — so with an empty cache the rows are bit-identical
+    /// valid column, computed fresh otherwise. Fresh verdicts scan an
+    /// automaton compiled here, for dirty slots only, and honor
+    /// `prune_below` — so with an empty cache the rows are bit-identical
     /// to
-    /// [`score_sequences_compiled_metered`](ScoreEngine::score_sequences_compiled_metered)
-    /// (or the interpreted equivalent wrapped in
-    /// [`BoundedSimilarity::Exact`]). Dirty slots are always scored
-    /// per-pair, even under [`ScanKernel::Batched`] — legal because the
-    /// batched driver is bit-identical to the per-pair scan — and under
-    /// [`ScanKernel::Quantized`] the verdicts are byte-stable (pure
-    /// integer DP), so a column cached by one pass and reused by the next
-    /// upholds the cache's replay invariant.
+    /// [`score_sequences_automata`](ScoreEngine::score_sequences_automata).
     ///
     /// When `trace` is given, each worker records `pairs_scored` and
     /// `pairs_pruned` for its *fresh* pairs and `pairs_reused` for its
@@ -533,7 +277,6 @@ impl ScoreEngine {
         clusters: &[Cluster],
         background: &BackgroundModel,
         order: &[usize],
-        kernel: ScanKernel,
         prune_below: Option<f64>,
         cache: &SimilarityCache,
         trace: Option<&TraceSession>,
@@ -548,17 +291,12 @@ impl ScoreEngine {
             .collect();
         // Build automata for dirty slots only — clean slots never touch
         // their model, so steady state pays zero compilation.
-        let automata: Vec<Option<ClusterAutomaton>> = if kernel.uses_automaton() {
+        let automata: Vec<Option<ClusterAutomaton>> =
             parallel_map(clusters.len(), self.threads, |slot| {
-                columns[slot].is_none().then(|| {
-                    ClusterAutomaton::build(&clusters[slot].pst, background, kernel)
-                        .expect("automaton-backed kernel")
-                })
-            })
-        } else {
-            clusters.iter().map(|_| None).collect()
-        };
-        let compiles = automata.iter().flatten().count() as u64;
+                columns[slot]
+                    .is_none()
+                    .then(|| ClusterAutomaton::compile(&clusters[slot].pst, background))
+            });
         let chunk = plan_chunk(order.len(), self.threads);
         let rows = parallel_map_with(
             order.len(),
@@ -568,30 +306,22 @@ impl ScoreEngine {
                 let row_start = std::time::Instant::now();
                 let id = order[pos];
                 let seq = reader.symbols(id);
-                let mut scratch: Vec<cluseq_seq::Symbol> = Vec::new();
                 let mut fresh = 0u64;
                 let mut fresh_pruned = 0u64;
                 let row: Vec<BoundedSimilarity> = columns
                     .iter()
-                    .enumerate()
-                    .map(|(slot, col)| match col {
-                        Some(col) => col[id],
-                        None => {
+                    .zip(&automata)
+                    .map(|(col, automaton)| match (col, automaton) {
+                        (Some(col), _) => col[id],
+                        (None, Some(automaton)) => {
                             fresh += 1;
-                            let verdict = match &automata[slot] {
-                                Some(automaton) => automaton.scan_pruned(seq, prune_below),
-                                None => BoundedSimilarity::Exact(max_similarity_pst_with_scratch(
-                                    &clusters[slot].pst,
-                                    background,
-                                    seq,
-                                    &mut scratch,
-                                )),
-                            };
+                            let verdict = automaton.scan_pruned(seq, prune_below);
                             if verdict.is_pruned() {
                                 fresh_pruned += 1;
                             }
                             verdict
                         }
+                        (None, None) => unreachable!("every dirty slot has an automaton"),
                     })
                     .collect();
                 if let Some(trace) = trace {
@@ -608,7 +338,6 @@ impl ScoreEngine {
             rows,
             nanos: trace::nanos_since(start),
             dirty_slots,
-            compiles,
         }
     }
 
@@ -731,26 +460,55 @@ mod tests {
         (db, bg, clusters)
     }
 
-    #[test]
-    fn engine_matches_direct_scoring_for_any_thread_count() {
-        let (db, bg, clusters) = fixture();
-        let order: Vec<usize> = vec![4, 0, 3, 1, 2];
-        let direct: Vec<Vec<SegmentSimilarity>> = order
+    /// The reference: every pair walked on the PST, in `order`.
+    fn direct(
+        db: &SequenceDatabase,
+        clusters: &[Cluster],
+        bg: &BackgroundModel,
+        order: &[usize],
+    ) -> Vec<Vec<SegmentSimilarity>> {
+        order
             .iter()
             .map(|&id| {
                 clusters
                     .iter()
-                    .map(|c| max_similarity_pst(&c.pst, &bg, db.sequence(id).symbols()))
+                    .map(|c| max_similarity_pst(&c.pst, bg, db.sequence(id).symbols()))
                     .collect()
             })
-            .collect();
+            .collect()
+    }
+
+    /// Asserts unpruned verdict rows equal the PST walk bit for bit.
+    fn assert_exact_rows(rows: &[Vec<BoundedSimilarity>], want: &[Vec<SegmentSimilarity>]) {
+        assert_eq!(rows.len(), want.len());
+        for (pos, row) in rows.iter().enumerate() {
+            for (slot, verdict) in row.iter().enumerate() {
+                let got = verdict.exact().expect("unpruned scoring is exact");
+                let want = want[pos][slot];
+                assert_eq!(
+                    got.log_sim.to_bits(),
+                    want.log_sim.to_bits(),
+                    "({pos},{slot})"
+                );
+                assert_eq!(
+                    (got.start, got.end),
+                    (want.start, want.end),
+                    "({pos},{slot})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn engine_matches_direct_scoring_for_any_thread_count() {
+        let (db, bg, clusters) = fixture();
+        let order: Vec<usize> = vec![4, 0, 3, 1, 2];
+        let want = direct(&db, &clusters, &bg, &order);
         for threads in [1usize, 2, 4, 8] {
             let engine = ScoreEngine::new(threads);
-            assert_eq!(
-                engine.score_sequences(&db, &clusters, &bg, &order),
-                direct,
-                "threads={threads}"
-            );
+            let automata = engine.compile_cluster_automata(&clusters, &bg);
+            let rows = engine.score_sequences_automata(&db, &automata, &order, None);
+            assert_exact_rows(&rows, &want);
         }
     }
 
@@ -759,8 +517,10 @@ mod tests {
         let (db, bg, clusters) = fixture();
         let order: Vec<usize> = (0..db.len()).collect();
         let engine = ScoreEngine::new(2);
-        let plain = engine.score_sequences(&db, &clusters, &bg, &order);
-        let (timed, _nanos) = engine.score_sequences_timed(&db, &clusters, &bg, &order);
+        let automata = engine.compile_cluster_automata(&clusters, &bg);
+        let plain = engine.score_sequences_automata(&db, &automata, &order, None);
+        let (timed, _nanos) =
+            engine.score_sequences_automata_metered(&db, &automata, &order, None, None);
         assert_eq!(plain, timed);
     }
 
@@ -769,19 +529,20 @@ mod tests {
         let (db, bg, clusters) = fixture();
         let order: Vec<usize> = vec![4, 0, 3, 1, 2];
         let engine = ScoreEngine::new(3);
-        let interpreted = engine.score_sequences(&db, &clusters, &bg, &order);
-        let compiled = engine.compile_clusters(&clusters, &bg);
-        let fast = engine.score_sequences_compiled(&db, &compiled, &order, None);
-        for (pos, row) in fast.iter().enumerate() {
-            for (slot, verdict) in row.iter().enumerate() {
-                let got = verdict.exact().expect("unpruned scoring is exact");
-                let want = interpreted[pos][slot];
-                assert_eq!(got.log_sim.to_bits(), want.log_sim.to_bits());
-                assert_eq!((got.start, got.end), (want.start, want.end));
-            }
-        }
-        let (timed, _nanos) = engine.score_sequences_compiled_timed(&db, &compiled, &order, None);
-        assert_eq!(timed, fast);
+        let automata = engine.compile_cluster_automata(&clusters, &bg);
+        // Automata shared through `Arc`s (the model cache's hand-out
+        // shape) score exactly like owned ones.
+        let shared: Vec<std::sync::Arc<ClusterAutomaton>> =
+            automata.iter().cloned().map(std::sync::Arc::new).collect();
+        let want = direct(&db, &clusters, &bg, &order);
+        assert_exact_rows(
+            &engine.score_sequences_automata(&db, &automata, &order, None),
+            &want,
+        );
+        assert_exact_rows(
+            &engine.score_sequences_automata(&db, &shared, &order, None),
+            &want,
+        );
     }
 
     #[test]
@@ -789,10 +550,10 @@ mod tests {
         let (db, bg, clusters) = fixture();
         let order: Vec<usize> = (0..db.len()).collect();
         let engine = ScoreEngine::new(2);
-        let exact = engine.score_sequences(&db, &clusters, &bg, &order);
-        let compiled = engine.compile_clusters(&clusters, &bg);
+        let exact = direct(&db, &clusters, &bg, &order);
+        let automata = engine.compile_cluster_automata(&clusters, &bg);
         let log_t = 0.5f64;
-        let bounded = engine.score_sequences_compiled(&db, &compiled, &order, Some(log_t));
+        let bounded = engine.score_sequences_automata(&db, &automata, &order, Some(log_t));
         for (pos, row) in bounded.iter().enumerate() {
             for (slot, verdict) in row.iter().enumerate() {
                 match verdict {
@@ -817,127 +578,68 @@ mod tests {
         let order: Vec<usize> = (0..db.len()).collect();
         for threads in [1usize, 4] {
             let engine = ScoreEngine::new(threads);
-            let session = TraceSession::in_memory();
-            let plain = engine.score_sequences(&db, &clusters, &bg, &order);
-            let (metered, _) =
-                engine.score_sequences_metered(&db, &clusters, &bg, &order, Some(&session));
-            assert_eq!(plain, metered, "threads={threads}");
-            let expected = (order.len() * clusters.len()) as u64;
-            assert_eq!(session.counter(Counter::PairsScored), expected);
-            assert_eq!(session.counter(Counter::PairsPruned), 0);
-            let hist = session.shared().hist_counts(HistKind::ScoreRow);
-            assert_eq!(hist.iter().sum::<u64>(), order.len() as u64);
-
-            let compiled = engine.compile_clusters(&clusters, &bg);
-            let session = TraceSession::in_memory();
-            let bounded = engine.score_sequences_compiled(&db, &compiled, &order, Some(0.5));
-            let (metered, _) = engine.score_sequences_compiled_metered(
-                &db,
-                &compiled,
-                &order,
-                Some(0.5),
-                Some(&session),
-            );
-            assert_eq!(bounded, metered, "threads={threads}");
-            assert_eq!(session.counter(Counter::PairsScored), expected);
-            let pruned: u64 = bounded.iter().map(|row| prune_count(row)).sum();
-            assert_eq!(session.counter(Counter::PairsPruned), pruned);
-        }
-    }
-
-    #[test]
-    fn batched_engine_is_bit_identical_to_compiled_engine() {
-        let (db, bg, clusters) = fixture();
-        let order: Vec<usize> = vec![4, 0, 3, 1, 2];
-        let reference = {
-            let engine = ScoreEngine::new(1);
-            let compiled = engine.compile_clusters(&clusters, &bg);
-            (
-                engine.score_sequences_compiled(&db, &compiled, &order, None),
-                engine.score_sequences_compiled(&db, &compiled, &order, Some(0.5)),
-            )
-        };
-        for threads in [1usize, 2, 4] {
-            let engine = ScoreEngine::new(threads);
-            for kernel in [ScanKernel::Compiled, ScanKernel::Batched] {
-                let automata = engine.compile_cluster_automata(&clusters, &bg, kernel);
-                for (prune_below, want) in [(None, &reference.0), (Some(0.5), &reference.1)] {
-                    let rows = engine.score_sequences_automata(
-                        &db,
-                        &automata,
-                        &order,
-                        prune_below,
-                        kernel,
-                    );
-                    assert_eq!(
-                        &rows, want,
-                        "threads={threads} kernel={kernel} prune={prune_below:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_engine_is_byte_stable_across_drivers_and_threads() {
-        let (db, bg, clusters) = fixture();
-        let order: Vec<usize> = (0..db.len()).collect();
-        let reference = {
-            let engine = ScoreEngine::new(1);
-            let automata = engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Quantized);
-            // Per-pair quantized scans, the ground truth for this kernel.
-            order
-                .iter()
-                .map(|&id| {
-                    automata
-                        .iter()
-                        .map(|a| a.scan_pruned(db.sequence(id).symbols(), None))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        };
-        for threads in [1usize, 3, 8] {
-            let engine = ScoreEngine::new(threads);
-            let automata = engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Quantized);
-            let rows = engine.score_sequences_automata(
-                &db,
-                &automata,
-                &order,
-                None,
-                ScanKernel::Quantized,
-            );
-            assert_eq!(rows, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn metered_automata_scoring_counts_pairs_under_both_drivers() {
-        let (db, bg, clusters) = fixture();
-        let order: Vec<usize> = (0..db.len()).collect();
-        for kernel in [
-            ScanKernel::Compiled,
-            ScanKernel::Batched,
-            ScanKernel::Quantized,
-        ] {
-            for threads in [1usize, 4] {
-                let engine = ScoreEngine::new(threads);
-                let automata = engine.compile_cluster_automata(&clusters, &bg, kernel);
+            let automata = engine.compile_cluster_automata(&clusters, &bg);
+            for prune_below in [None, Some(0.5)] {
                 let session = TraceSession::in_memory();
-                let plain =
-                    engine.score_sequences_automata(&db, &automata, &order, Some(0.5), kernel);
+                let plain = engine.score_sequences_automata(&db, &automata, &order, prune_below);
                 let (metered, _) = engine.score_sequences_automata_metered(
                     &db,
                     &automata,
                     &order,
-                    Some(0.5),
-                    kernel,
+                    prune_below,
                     Some(&session),
                 );
-                assert_eq!(plain, metered, "kernel={kernel} threads={threads}");
+                assert_eq!(plain, metered, "threads={threads} prune={prune_below:?}");
                 let expected = (order.len() * clusters.len()) as u64;
                 assert_eq!(session.counter(Counter::PairsScored), expected);
                 let pruned: u64 = plain.iter().map(|row| prune_count(row)).sum();
                 assert_eq!(session.counter(Counter::PairsPruned), pruned);
+                if prune_below.is_none() {
+                    assert_eq!(pruned, 0);
+                }
+                let hist = session.shared().hist_counts(HistKind::ScoreRow);
+                assert_eq!(hist.iter().sum::<u64>(), order.len() as u64);
+            }
+        }
+    }
+
+    /// The two compiled drivers — the uncached pass and the cached pass
+    /// with nothing cached — meter exactly the pairs their rows hold.
+    #[test]
+    fn metered_automata_scoring_counts_pairs_under_both_drivers() {
+        let (db, bg, clusters) = fixture();
+        let order: Vec<usize> = (0..db.len()).collect();
+        let empty = SimilarityCache::new(db.len());
+        let expected = (order.len() * clusters.len()) as u64;
+        for threads in [1usize, 4] {
+            let engine = ScoreEngine::new(threads);
+            let automata = engine.compile_cluster_automata(&clusters, &bg);
+            for prune_below in [None, Some(0.5)] {
+                let uncached = TraceSession::in_memory();
+                let (rows, _) = engine.score_sequences_automata_metered(
+                    &db,
+                    &automata,
+                    &order,
+                    prune_below,
+                    Some(&uncached),
+                );
+                let cached = TraceSession::in_memory();
+                let pass = engine.score_sequences_cached(
+                    &db,
+                    &clusters,
+                    &bg,
+                    &order,
+                    prune_below,
+                    &empty,
+                    Some(&cached),
+                );
+                let pruned: u64 = rows.iter().map(|row| prune_count(row)).sum();
+                for session in [&uncached, &cached] {
+                    assert_eq!(session.counter(Counter::PairsScored), expected);
+                    assert_eq!(session.counter(Counter::PairsPruned), pruned);
+                    assert_eq!(session.counter(Counter::PairsReused), 0);
+                }
+                assert_eq!(pass.rows, rows, "threads={threads} prune={prune_below:?}");
             }
         }
     }
@@ -947,66 +649,30 @@ mod tests {
         let (db, bg, clusters) = fixture();
         let order: Vec<usize> = vec![4, 0, 3, 1, 2];
         let empty = SimilarityCache::new(db.len());
+        let want = direct(&db, &clusters, &bg, &order);
         for threads in [1usize, 4] {
             let engine = ScoreEngine::new(threads);
-            let compiled = engine.compile_clusters(&clusters, &bg);
+            let automata = engine.compile_cluster_automata(&clusters, &bg);
             for prune_below in [None, Some(0.5)] {
                 let pass = engine.score_sequences_cached(
                     &db,
                     &clusters,
                     &bg,
                     &order,
-                    ScanKernel::Compiled,
                     prune_below,
                     &empty,
                     None,
                 );
-                let want = engine.score_sequences_compiled(&db, &compiled, &order, prune_below);
-                assert_eq!(pass.rows, want, "threads={threads} prune={prune_below:?}");
+                let uncached = engine.score_sequences_automata(&db, &automata, &order, prune_below);
+                assert_eq!(
+                    pass.rows, uncached,
+                    "threads={threads} prune={prune_below:?}"
+                );
                 assert_eq!(pass.dirty_slots, vec![0, 1]);
-                assert_eq!(pass.compiles, clusters.len() as u64);
-            }
-            for kernel in [ScanKernel::Batched, ScanKernel::Quantized] {
-                let automata = engine.compile_cluster_automata(&clusters, &bg, kernel);
-                for prune_below in [None, Some(0.5)] {
-                    let pass = engine.score_sequences_cached(
-                        &db,
-                        &clusters,
-                        &bg,
-                        &order,
-                        kernel,
-                        prune_below,
-                        &empty,
-                        None,
-                    );
-                    let want = engine.score_sequences_automata(
-                        &db,
-                        &automata,
-                        &order,
-                        prune_below,
-                        kernel,
-                    );
-                    assert_eq!(pass.rows, want, "kernel={kernel} prune={prune_below:?}");
-                    assert_eq!(pass.compiles, clusters.len() as u64);
+                if prune_below.is_none() {
+                    assert_exact_rows(&pass.rows, &want);
                 }
             }
-            let pass = engine.score_sequences_cached(
-                &db,
-                &clusters,
-                &bg,
-                &order,
-                ScanKernel::Interpreted,
-                None,
-                &empty,
-                None,
-            );
-            let want = engine.score_sequences(&db, &clusters, &bg, &order);
-            for (pos, row) in pass.rows.iter().enumerate() {
-                for (slot, verdict) in row.iter().enumerate() {
-                    assert_eq!(verdict.exact().unwrap(), want[pos][slot]);
-                }
-            }
-            assert_eq!(pass.compiles, 0);
         }
     }
 
@@ -1015,8 +681,8 @@ mod tests {
         let (db, bg, clusters) = fixture();
         let order: Vec<usize> = (0..db.len()).collect();
         let engine = ScoreEngine::new(2);
-        let compiled = engine.compile_clusters(&clusters, &bg);
-        let full = engine.score_sequences_compiled(&db, &compiled, &order, None);
+        let automata = engine.compile_cluster_automata(&clusters, &bg);
+        let full = engine.score_sequences_automata(&db, &automata, &order, None);
 
         // Cache cluster 0's column (a deliberately wrong sentinel value so
         // reuse is observable), leave cluster 1 dirty.
@@ -1037,13 +703,11 @@ mod tests {
             &clusters,
             &bg,
             &order,
-            ScanKernel::Compiled,
             None,
             &cache,
             Some(&session),
         );
         assert_eq!(pass.dirty_slots, vec![1]);
-        assert_eq!(pass.compiles, 1);
         for (pos, row) in pass.rows.iter().enumerate() {
             assert_eq!(row[0], BoundedSimilarity::Exact(sentinel), "reused");
             assert_eq!(row[1], full[pos][1], "fresh");
@@ -1067,27 +731,12 @@ mod tests {
         let order: Vec<usize> = vec![4, 0, 3, 1, 2];
         for threads in [1usize, 3] {
             let engine = ScoreEngine::new(threads);
-            let resident = engine.score_sequences(&db, &clusters, &bg, &order);
-            let streamed = engine.score_sequences(&store, &clusters, &bg, &order);
-            assert_eq!(resident, streamed, "threads={threads}");
-            let compiled = engine.compile_clusters(&clusters, &bg);
+            let automata = engine.compile_cluster_automata(&clusters, &bg);
             for prune_below in [None, Some(0.5)] {
                 assert_eq!(
-                    engine.score_sequences_compiled(&db, &compiled, &order, prune_below),
-                    engine.score_sequences_compiled(&store, &compiled, &order, prune_below),
+                    engine.score_sequences_automata(&db, &automata, &order, prune_below),
+                    engine.score_sequences_automata(&store, &automata, &order, prune_below),
                     "threads={threads} prune={prune_below:?}"
-                );
-            }
-            for kernel in [
-                ScanKernel::Compiled,
-                ScanKernel::Batched,
-                ScanKernel::Quantized,
-            ] {
-                let automata = engine.compile_cluster_automata(&clusters, &bg, kernel);
-                assert_eq!(
-                    engine.score_sequences_automata(&db, &automata, &order, None, kernel),
-                    engine.score_sequences_automata(&store, &automata, &order, None, kernel),
-                    "threads={threads} kernel={kernel}"
                 );
             }
         }

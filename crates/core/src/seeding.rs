@@ -14,10 +14,9 @@ use cluseq_pst::{Pst, PstParams};
 use cluseq_seq::{BackgroundModel, SequenceStore};
 
 use crate::cluster::Cluster;
-use crate::config::ScanKernel;
 use crate::kernel::ClusterAutomaton;
 use crate::score::{parallel_map, parallel_map_with};
-use crate::similarity::{max_similarity_pst, BoundedSimilarity};
+use crate::similarity::BoundedSimilarity;
 use crate::telemetry::SeedingMetrics;
 use crate::trace::{Phase, TraceSession};
 
@@ -40,7 +39,6 @@ pub fn select_seeds(
     sample_factor: usize,
     pst_params: PstParams,
     threads: usize,
-    kernel: ScanKernel,
     rng: &mut impl Rng,
 ) -> Vec<usize> {
     select_seeds_detailed(
@@ -52,7 +50,6 @@ pub fn select_seeds(
         sample_factor,
         pst_params,
         threads,
-        kernel,
         rng,
         None,
     )
@@ -63,13 +60,11 @@ pub fn select_seeds(
 /// records. Draws from `rng` exactly as [`select_seeds`] does, so the two
 /// are interchangeable without perturbing downstream RNG state.
 ///
-/// Under an automaton kernel the candidate scoring runs on prebuilt
-/// automata with threshold early-exit against the running farthest-first
-/// maxima. Selection under the exact automaton kernels is bit-identical
-/// to the interpreted path: a pruned pair is provably below the running
-/// maximum, so it could never have raised it. The quantized kernel
-/// selects on quantized scores — deterministic, and within the automaton
-/// error bound of exact — with the same sound early-exit.
+/// Every model scored here is frozen, so the candidate scoring runs on
+/// compiled automata with threshold early-exit against the running
+/// farthest-first maxima. Selection is bit-identical to a PST walk: a
+/// pruned pair is provably below the running maximum, so it could never
+/// have raised it.
 ///
 /// With a `trace` session, the candidate scoring passes run under nested
 /// `seeding_score` spans (the caller holds the surrounding `seeding`
@@ -84,7 +79,6 @@ pub fn select_seeds_detailed(
     sample_factor: usize,
     pst_params: PstParams,
     threads: usize,
-    kernel: ScanKernel,
     rng: &mut impl Rng,
     trace: Option<&TraceSession>,
 ) -> (Vec<usize>, SeedingMetrics) {
@@ -123,11 +117,8 @@ pub fn select_seeds_detailed(
 
     // Existing cluster models are compiled once and reused for every
     // candidate; each picked candidate's model is compiled once below.
-    let cluster_automata: Option<Vec<ClusterAutomaton>> = kernel.uses_automaton().then(|| {
-        parallel_map(clusters.len(), threads, |i| {
-            ClusterAutomaton::build(&clusters[i].pst, background, kernel)
-                .expect("automaton-backed kernel")
-        })
+    let cluster_automata: Vec<ClusterAutomaton> = parallel_map(clusters.len(), threads, |i| {
+        ClusterAutomaton::compile(&clusters[i].pst, background)
     });
 
     // best_sim[i] = highest similarity of candidate i to any cluster chosen
@@ -140,20 +131,14 @@ pub fn select_seeds_detailed(
         || store.reader(),
         |reader, i| {
             let seq = reader.symbols(candidates[i]);
-            match &cluster_automata {
-                Some(automata) => automata.iter().fold(f64::NEG_INFINITY, |acc, a| {
-                    // Early-exit against the running max: a pruned score
-                    // is strictly below `acc`, so the fold is unchanged.
-                    match a.scan_bounded(seq, acc) {
-                        BoundedSimilarity::Exact(sim) => acc.max(sim.log_sim),
-                        BoundedSimilarity::Pruned => acc,
-                    }
-                }),
-                None => clusters
-                    .iter()
-                    .map(|c| max_similarity_pst(&c.pst, background, seq).log_sim)
-                    .fold(f64::NEG_INFINITY, f64::max),
-            }
+            cluster_automata.iter().fold(f64::NEG_INFINITY, |acc, a| {
+                // Early-exit against the running max: a pruned score is
+                // strictly below `acc`, so the fold is unchanged.
+                match a.scan_bounded(seq, acc) {
+                    BoundedSimilarity::Exact(sim) => acc.max(sim.log_sim),
+                    BoundedSimilarity::Pruned => acc,
+                }
+            })
         },
     );
     drop(score_span);
@@ -173,10 +158,7 @@ pub fn select_seeds_detailed(
 
         // Fold the new seed into every remaining candidate's best score.
         let _span = trace.map(|t| t.span(Phase::SeedingScore));
-        let pick_automaton = cluster_automata.as_ref().map(|_| {
-            ClusterAutomaton::build(&candidate_psts[pick], background, kernel)
-                .expect("automaton-backed kernel")
-        });
+        let pick_automaton = ClusterAutomaton::compile(&candidate_psts[pick], background);
         let step: Vec<Option<f64>> = parallel_map_with(
             candidates.len(),
             threads,
@@ -185,17 +167,11 @@ pub fn select_seeds_detailed(
                 if taken[i] {
                     return None;
                 }
-                let seq = reader.symbols(candidates[i]);
-                match &pick_automaton {
-                    // A pruned score is strictly below best_sim[i], so it
-                    // could not have passed the `sim > best_sim[i]` update.
-                    Some(a) => match a.scan_bounded(seq, best_sim[i]) {
-                        BoundedSimilarity::Exact(sim) => Some(sim.log_sim),
-                        BoundedSimilarity::Pruned => None,
-                    },
-                    None => {
-                        Some(max_similarity_pst(&candidate_psts[pick], background, seq).log_sim)
-                    }
+                // A pruned score is strictly below best_sim[i], so it
+                // could not have passed the `sim > best_sim[i]` update.
+                match pick_automaton.scan_bounded(reader.symbols(candidates[i]), best_sim[i]) {
+                    BoundedSimilarity::Exact(sim) => Some(sim.log_sim),
+                    BoundedSimilarity::Pruned => None,
                 }
             },
         );
@@ -251,18 +227,7 @@ mod tests {
         let (db, bg) = fixture();
         let mut rng = StdRng::seed_from_u64(3);
         let all: Vec<usize> = (0..db.len()).collect();
-        let seeds = select_seeds(
-            &db,
-            &bg,
-            &[],
-            &all,
-            3,
-            5,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng,
-        );
+        let seeds = select_seeds(&db, &bg, &[], &all, 3, 5, params(), 1, &mut rng);
         assert_eq!(seeds.len(), 3);
         // All seeds are distinct and drawn from the pool.
         let mut s = seeds.clone();
@@ -278,18 +243,7 @@ mod tests {
         let all: Vec<usize> = (0..db.len()).collect();
         // Sample everything (factor large enough) so selection is purely
         // similarity-driven.
-        let seeds = select_seeds(
-            &db,
-            &bg,
-            &[],
-            &all,
-            3,
-            10,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng,
-        );
+        let seeds = select_seeds(&db, &bg, &[], &all, 3, 10, params(), 1, &mut rng);
         // The three seeds should cover the three behaviours: ab-repeats
         // (ids 0-2), c-runs (3-5), aabb-repeats (6-7).
         let groups: Vec<usize> = seeds
@@ -317,18 +271,7 @@ mod tests {
         // An existing cluster already models the ab-repeat behaviour.
         let existing = Cluster::from_seed(0, 0, db.sequence(0), db.alphabet().len(), params());
         let pool: Vec<usize> = (1..db.len()).collect();
-        let seeds = select_seeds(
-            &db,
-            &bg,
-            &[existing],
-            &pool,
-            1,
-            10,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng,
-        );
+        let seeds = select_seeds(&db, &bg, &[existing], &pool, 1, 10, params(), 1, &mut rng);
         assert_eq!(seeds.len(), 1);
         assert!(
             seeds[0] >= 3,
@@ -341,33 +284,9 @@ mod tests {
     fn empty_pool_or_zero_k_yields_nothing() {
         let (db, bg) = fixture();
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(select_seeds(
-            &db,
-            &bg,
-            &[],
-            &[],
-            3,
-            5,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng
-        )
-        .is_empty());
+        assert!(select_seeds(&db, &bg, &[], &[], 3, 5, params(), 1, &mut rng).is_empty());
         let all: Vec<usize> = (0..db.len()).collect();
-        assert!(select_seeds(
-            &db,
-            &bg,
-            &[],
-            &all,
-            0,
-            5,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng
-        )
-        .is_empty());
+        assert!(select_seeds(&db, &bg, &[], &all, 0, 5, params(), 1, &mut rng).is_empty());
     }
 
     #[test]
@@ -386,7 +305,6 @@ mod tests {
                 10,
                 params(),
                 threads,
-                ScanKernel::Interpreted,
                 &mut rng,
             )
         };
@@ -401,18 +319,7 @@ mod tests {
         let (db, bg) = fixture();
         let mut rng = StdRng::seed_from_u64(1);
         let pool = vec![0, 3];
-        let seeds = select_seeds(
-            &db,
-            &bg,
-            &[],
-            &pool,
-            10,
-            5,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng,
-        );
+        let seeds = select_seeds(&db, &bg, &[], &pool, 10, 5, params(), 1, &mut rng);
         assert_eq!(seeds.len(), 2);
     }
 
@@ -422,31 +329,9 @@ mod tests {
         let all: Vec<usize> = (0..db.len()).collect();
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
-        let plain = select_seeds(
-            &db,
-            &bg,
-            &[],
-            &all,
-            3,
-            2,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng_a,
-        );
-        let (detailed, metrics) = select_seeds_detailed(
-            &db,
-            &bg,
-            &[],
-            &all,
-            3,
-            2,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng_b,
-            None,
-        );
+        let plain = select_seeds(&db, &bg, &[], &all, 3, 2, params(), 1, &mut rng_a);
+        let (detailed, metrics) =
+            select_seeds_detailed(&db, &bg, &[], &all, 3, 2, params(), 1, &mut rng_b, None);
         assert_eq!(plain, detailed, "identical RNG draws, identical seeds");
         // Both consumed the same amount of RNG state.
         assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
@@ -460,19 +345,8 @@ mod tests {
     fn detailed_selection_reports_empty_pool() {
         let (db, bg) = fixture();
         let mut rng = StdRng::seed_from_u64(1);
-        let (seeds, metrics) = select_seeds_detailed(
-            &db,
-            &bg,
-            &[],
-            &[],
-            3,
-            5,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng,
-            None,
-        );
+        let (seeds, metrics) =
+            select_seeds_detailed(&db, &bg, &[], &[], 3, 5, params(), 1, &mut rng, None);
         assert!(seeds.is_empty());
         assert_eq!(metrics.requested, 3);
         assert_eq!(metrics.pool, 0);
@@ -480,40 +354,59 @@ mod tests {
         assert_eq!(metrics.chosen, 0);
     }
 
+    /// Seeding scores frozen models through compiled automata with early
+    /// exit; its picks and RNG consumption must equal a farthest-first
+    /// selection computed on the PST walk.
     #[test]
     fn compiled_kernel_selects_identical_seeds() {
+        use crate::similarity::max_similarity_pst;
         let (db, bg) = fixture();
         let all: Vec<usize> = (0..db.len()).collect();
         let existing = Cluster::from_seed(0, 0, db.sequence(0), db.alphabet().len(), params());
-        let run = |kernel: ScanKernel| {
-            let mut rng = StdRng::seed_from_u64(11);
-            let seeds = select_seeds(
-                &db,
-                &bg,
-                std::slice::from_ref(&existing),
-                &all,
-                3,
-                10,
-                params(),
-                1,
-                kernel,
-                &mut rng,
-            );
-            // Both kernels must consume identical RNG state too.
-            (seeds, rng.gen::<u64>())
-        };
-        let reference = run(ScanKernel::Interpreted);
-        assert_eq!(reference, run(ScanKernel::Compiled));
-        assert_eq!(reference, run(ScanKernel::Batched));
-        // Quantized selection runs on quantized scores, which may rank
-        // near-ties differently, but it must consume identical RNG state
-        // and pick the requested number of distinct seeds.
-        let (seeds_q, rng_q) = run(ScanKernel::Quantized);
-        assert_eq!(rng_q, reference.1, "RNG draws are kernel-independent");
-        assert_eq!(seeds_q.len(), reference.0.len());
-        let mut distinct = seeds_q.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct.len(), seeds_q.len());
+        let (k_n, factor) = (3usize, 10usize);
+
+        let mut rng = StdRng::seed_from_u64(11);
+        let seeds = select_seeds(
+            &db,
+            &bg,
+            std::slice::from_ref(&existing),
+            &all,
+            k_n,
+            factor,
+            params(),
+            1,
+            &mut rng,
+        );
+        let after = rng.gen::<u64>();
+
+        // Reference: the same draw, every score a PST walk.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut candidates = all.clone();
+        candidates.shuffle(&mut rng);
+        candidates.truncate((factor * k_n).min(all.len()));
+        let psts: Vec<Pst> = candidates
+            .iter()
+            .map(|&id| Pst::from_sequence(db.alphabet().len(), params(), db.sequence(id)))
+            .collect();
+        let walk = |pst: &Pst, id: usize| max_similarity_pst(pst, &bg, db.sequence(id).symbols());
+        let mut best: Vec<f64> = candidates
+            .iter()
+            .map(|&id| walk(&existing.pst, id).log_sim)
+            .collect();
+        let mut taken = vec![false; candidates.len()];
+        let mut want = Vec::new();
+        for _ in 0..k_n {
+            let pick = (0..candidates.len())
+                .filter(|&i| !taken[i])
+                .min_by(|&a, &b| best[a].total_cmp(&best[b]))
+                .unwrap();
+            taken[pick] = true;
+            want.push(candidates[pick]);
+            for (i, &id) in candidates.iter().enumerate() {
+                best[i] = best[i].max(walk(&psts[pick], id).log_sim);
+            }
+        }
+        assert_eq!(seeds, want);
+        assert_eq!(after, rng.gen::<u64>(), "identical RNG consumption");
     }
 }

@@ -54,10 +54,10 @@ use std::time::{Duration, Instant};
 use cluseq_seq::SequenceStore;
 
 use crate::config::ScanKernel;
+use crate::trace::stamp::Stamp;
 use engine::{EngineHandle, Scored, ServeEngine, Work};
 use model::ServeModel;
 use obs::{ObsLocal, RequestRecord, ServeObs, ServeOp, StageNanos};
-use crate::trace::stamp::Stamp;
 use protocol::{errcode, parse_header, ProtoError, Request, Response, FRAME_MAGIC};
 
 /// How often blocked reads wake to check the stop flag.
@@ -296,19 +296,7 @@ fn accept_loop(
     addr: SocketAddr,
 ) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
+    let mut spawn = |stream: TcpStream| {
         handlers.retain(|h| !h.is_finished());
         let shard = obs.as_ref().map_or(0, |o| o.conn_shard());
         let conn = Connection {
@@ -320,13 +308,40 @@ fn accept_loop(
             frame_timeout,
             server_addr: addr,
         };
-        match std::thread::Builder::new()
+        // A spawn failure drops the connection.
+        if let Ok(handle) = std::thread::Builder::new()
             .name("serve-conn".into())
             .spawn(move || conn.run(stream))
         {
-            Ok(handle) => handlers.push(handle),
-            Err(_) => continue, // spawn failure: drop the connection
+            handlers.push(handle);
         }
+    };
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                continue;
+            }
+        };
+        if stop.load(Ordering::SeqCst) {
+            // Connections the kernel completed before the stop may
+            // already carry a request, which the drain promises to
+            // answer: hand every one still in the backlog to a handler
+            // (each gets the drain grace) instead of resetting it.
+            spawn(stream);
+            if listener.set_nonblocking(true).is_ok() {
+                while let Ok((stream, _)) = listener.accept() {
+                    if stream.set_nonblocking(false).is_ok() {
+                        spawn(stream);
+                    }
+                }
+            }
+            break;
+        }
+        spawn(stream);
     }
     for handle in handlers {
         let _ = handle.join();
@@ -510,11 +525,13 @@ impl Connection {
                 return true;
             }
         };
-        let meta = started.zip(decode_start).map(|((request_id, _), d)| FrameMeta {
-            request_id,
-            accept_nanos,
-            decode_start: d,
-        });
+        let meta = started
+            .zip(decode_start)
+            .map(|((request_id, _), d)| FrameMeta {
+                request_id,
+                accept_nanos,
+                decode_start: d,
+            });
         self.dispatch(stream, request, meta)
     }
 
@@ -532,7 +549,13 @@ impl Connection {
             }
             Request::Anomaly { seq, threshold } => {
                 let n = seq.len();
-                self.scored(stream, ServeOp::Anomaly, Work::Anomaly(seq, threshold), n, meta)
+                self.scored(
+                    stream,
+                    ServeOp::Anomaly,
+                    Work::Anomaly(seq, threshold),
+                    n,
+                    meta,
+                )
             }
             Request::Info => {
                 let response = self.engine.current().info();

@@ -156,7 +156,15 @@ fn route(
     match (method, path) {
         ("GET", "/info") => {
             let response = engine.current().info();
-            finish(stream, obs, meta, ServeOp::Info, Scored::immediate(response), 0, 0);
+            finish(
+                stream,
+                obs,
+                meta,
+                ServeOp::Info,
+                Scored::immediate(response),
+                0,
+                0,
+            );
         }
         ("GET", "/healthz") => {
             // Liveness: the accept loop handed us this request, so the
@@ -487,8 +495,6 @@ fn to_json(response: &Response) -> (u16, String) {
                 json_f64(*log_t),
                 match kernel {
                     1 => "compiled",
-                    2 => "batched",
-                    3 => "quantized",
                     _ => "interpreted",
                 },
             ),

@@ -98,10 +98,7 @@ impl ServeModel {
             saved
                 .clusters
                 .iter()
-                .map(|c| {
-                    ClusterAutomaton::build(&c.pst, &saved.background, kernel)
-                        .expect("automaton-backed kernel")
-                })
+                .map(|c| ClusterAutomaton::compile(&c.pst, &saved.background))
                 .collect()
         } else {
             Vec::new()
@@ -139,11 +136,9 @@ impl ServeModel {
 
     /// Scores `seq` against every cluster, best first — the serve-side
     /// twin of [`SavedModel::classify`], dispatching on the configured
-    /// kernel. The exact kernels are bit-identical (the compiled tables
-    /// hold the exact f64 values the interpreted walk computes, and the
-    /// batched driver shares the per-pair arithmetic); the quantized
-    /// kernel is byte-stable within its documented error bound. The sort
-    /// is the same stable descending `total_cmp` everywhere, so exact
+    /// kernel. The two kernels are bit-identical (the compiled tables
+    /// hold the exact f64 values the interpreted walk computes), and the
+    /// sort is the same stable descending `total_cmp` everywhere, so
     /// rankings match offline classification bit for bit.
     pub fn classify(&self, seq: &[Symbol]) -> Vec<(usize, SegmentSimilarity)> {
         let mut scored: Vec<(usize, SegmentSimilarity)> = if self.kernel.uses_automaton() {
@@ -228,12 +223,7 @@ impl ServeModel {
             clusters: self.saved.cluster_count() as u32,
             alphabet: self.alphabet_size() as u32,
             log_t: self.saved.log_t,
-            kernel: match self.kernel {
-                ScanKernel::Interpreted => 0,
-                ScanKernel::Compiled => 1,
-                ScanKernel::Batched => 2,
-                ScanKernel::Quantized => 3,
-            },
+            kernel: u8::from(self.kernel.uses_automaton()),
         }
     }
 }

@@ -567,7 +567,13 @@ impl ServeObs {
             .collect();
         let hists: Vec<(&'static str, [u64; HIST_BUCKETS], u64)> = Self::SNAPSHOT_HISTS
             .iter()
-            .map(|&h| (h.as_str(), self.trace.hist_counts(h), self.trace.hist_sum(h)))
+            .map(|&h| {
+                (
+                    h.as_str(),
+                    self.trace.hist_counts(h),
+                    self.trace.hist_sum(h),
+                )
+            })
             .collect();
         self.emit(|w| {
             w.field_str("event", "serve_end");
@@ -625,7 +631,6 @@ mod tests {
             scan: 100,
             encode: 7,
             write_back: 8,
-            ..Default::default()
         };
         obs.record(&RequestRecord {
             request_id: obs.next_request_id(),
@@ -651,10 +656,7 @@ mod tests {
         assert_eq!(t.counter(Counter::ServeInfo), 1);
         assert_eq!(t.counter(Counter::ServeRequests), 2);
         assert_eq!(t.counter(Counter::ServeErrors), 1);
-        assert_eq!(
-            t.hist_counts(HistKind::ServeAssign).iter().sum::<u64>(),
-            1
-        );
+        assert_eq!(t.hist_counts(HistKind::ServeAssign).iter().sum::<u64>(), 1);
         assert_eq!(t.hist_counts(HistKind::ServeAdmin).iter().sum::<u64>(), 1);
         // Admin ops stay out of the queue-stage histograms.
         assert_eq!(
@@ -755,7 +757,10 @@ mod tests {
         }
         // Counters are exact immediately; histograms lag in the buffer.
         let t = obs.registry();
-        assert_eq!(t.counter(Counter::ServeScore), u64::from(ObsLocal::FLUSH_EVERY) - 1);
+        assert_eq!(
+            t.counter(Counter::ServeScore),
+            u64::from(ObsLocal::FLUSH_EVERY) - 1
+        );
         assert_eq!(t.hist_counts(HistKind::ServeScore).iter().sum::<u64>(), 0);
         // The FLUSH_EVERY-th record drains the buffer on its own.
         obs.record_buffered(0, &mut local, &rec);

@@ -68,9 +68,8 @@ pub struct RunSummary {
     /// Wall time of the whole run, nanoseconds.
     pub total_nanos: u64,
     /// (sequence, cluster) pairs of the final assignment sweep whose
-    /// evaluation was abandoned early because the compiled kernel proved
-    /// they could not reach the threshold (always 0 under
-    /// [`crate::config::ScanKernel::Interpreted`]). A pruned pair is
+    /// evaluation was abandoned early because the compiled scan proved
+    /// they could not reach the threshold. A pruned pair is
     /// guaranteed to be a non-join, so outcomes are unaffected; this
     /// counter exists so skipped work is visible rather than silently
     /// folded into `pairs_scored`-style totals.
@@ -108,7 +107,9 @@ pub struct ScanMetrics {
     pub membership_changes: usize,
     /// Pairs the compiled kernel abandoned mid-scan after proving they
     /// could not reach the threshold; such pairs still count in
-    /// `pairs_scored`. Scan pruning is only enabled once the threshold is
+    /// `pairs_scored`. Only the snapshot scan compiles its models, so this
+    /// is always 0 under [`crate::ScanMode::Incremental`], whose PST walk
+    /// has no early exit. Scan pruning is only enabled once the threshold is
     /// frozen *and* no iteration records are being kept (pruning skips the
     /// similarity histogram those records carry), so this is always 0 in a
     /// recorded iteration — which is also why version-1 checkpoints, which
@@ -123,8 +124,10 @@ pub struct ScanMetrics {
     /// Clusters whose column had to be scored fresh this scan (model
     /// changed, newly seeded, or never cached). 0 unless incremental.
     pub clusters_dirty: u64,
-    /// `CompiledPst` automata compiled for dirty clusters this scan.
-    /// 0 unless incremental.
+    /// `CompiledPst` automata compiled for dirty clusters this scan (with
+    /// the paged model cache: builds on cache misses). 0 unless
+    /// incremental or model-cached, and always 0 under
+    /// [`crate::ScanMode::Incremental`], which walks the PSTs instead.
     pub pst_recompiles: u64,
 }
 

@@ -60,7 +60,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::config::ScanKernel;
 use crate::telemetry::{JsonWriter, PhaseNanos, ResumeInfo, RunContext, RunSummary};
 
 /// Shards in the per-thread counter registry. Scoring workers map their
@@ -200,8 +199,8 @@ pub enum Counter {
     /// Clusters scored fresh in a scan because their model changed — or
     /// was never cached (0 unless `--incremental`).
     ClustersDirty,
-    /// `CompiledPst` automata compiled for dirty clusters under the
-    /// incremental engine (0 unless `--incremental`).
+    /// `CompiledPst` automata the snapshot scan compiled for dirty
+    /// clusters (0 unless `--incremental` or `--model-cache-mb`).
     PstRecompiles,
     /// ASSIGN requests the serve daemon completed (either transport).
     ServeAssign,
@@ -596,13 +595,7 @@ impl TraceShared {
     /// individual [`Self::observe`] calls that filled the buffer, at a
     /// fraction of the atomic traffic — only non-empty buckets touch the
     /// registry.
-    pub fn hist_merge(
-        &self,
-        hist: HistKind,
-        shard: usize,
-        counts: &[u32; HIST_BUCKETS],
-        sum: u64,
-    ) {
+    pub fn hist_merge(&self, hist: HistKind, shard: usize, counts: &[u32; HIST_BUCKETS], sum: u64) {
         let s = &self.shards[shard.min(SHARDS - 1)];
         let h = hist.index();
         for (b, &c) in counts.iter().enumerate() {
@@ -895,14 +888,13 @@ impl TraceSession {
     }
 
     /// Emits the `run_start` event.
-    pub fn event_run_start(&self, ctx: &RunContext, kernel: ScanKernel) {
+    pub fn event_run_start(&self, ctx: &RunContext) {
         self.emit(|w| {
             w.field_str("event", "run_start");
             w.field_usize("sequences", ctx.sequences);
             w.field_usize("alphabet_size", ctx.alphabet_size);
             w.field_usize("threads", ctx.threads);
             w.field_str("scan_mode", &ctx.scan_mode.to_string());
-            w.field_str("scan_kernel", &kernel.to_string());
             w.field_u64("seed", ctx.seed);
             w.field_f64("initial_log_t", ctx.initial_log_t);
         });

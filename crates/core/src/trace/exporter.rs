@@ -188,9 +188,7 @@ pub fn render(shared: &TraceShared) -> String {
         "cluseq_serve_queue_depth {}\n",
         shared.gauge(Gauge::ServeQueueDepth)
     ));
-    out.push_str(
-        "# HELP cluseq_serve_in_flight Serve requests accepted and not yet answered.\n",
-    );
+    out.push_str("# HELP cluseq_serve_in_flight Serve requests accepted and not yet answered.\n");
     out.push_str("# TYPE cluseq_serve_in_flight gauge\n");
     out.push_str(&format!(
         "cluseq_serve_in_flight {}\n",

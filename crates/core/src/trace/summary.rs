@@ -155,7 +155,11 @@ fn render_serve(replay: &TraceReplay) -> Option<String> {
     };
     let start = last_of("serve_start");
     let end = last_of("serve_end");
-    let swaps = replay.events.iter().filter(|e| e.kind == "serve_swap").count();
+    let swaps = replay
+        .events
+        .iter()
+        .filter(|e| e.kind == "serve_swap")
+        .count();
     let slow: Vec<&JsonValue> = replay
         .events
         .iter()
@@ -298,7 +302,9 @@ fn render_serve(replay: &TraceReplay) -> Option<String> {
                 "{:<10} {:<8} {:<9} {:>10} {:>12}  {}\n",
                 u64_field(v, "request_id"),
                 v.get("op").and_then(JsonValue::as_str).unwrap_or("?"),
-                v.get("transport").and_then(JsonValue::as_str).unwrap_or("?"),
+                v.get("transport")
+                    .and_then(JsonValue::as_str)
+                    .unwrap_or("?"),
                 fmt_millis(u64_field(v, "total_nanos")),
                 v.get("generation")
                     .and_then(JsonValue::as_u64)
@@ -351,16 +357,12 @@ pub fn render_summary(replay: &TraceReplay) -> String {
 
     if let Some(start) = last_start {
         out.push_str(&format!(
-            "run: {} sequences, alphabet {}, threads {}, scan {}/{}, seed {}\n",
+            "run: {} sequences, alphabet {}, threads {}, scan {}, seed {}\n",
             u64_field(start, "sequences"),
             u64_field(start, "alphabet_size"),
             u64_field(start, "threads"),
             start
                 .get("scan_mode")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            start
-                .get("scan_kernel")
                 .and_then(JsonValue::as_str)
                 .unwrap_or("?"),
             u64_field(start, "seed"),
@@ -438,7 +440,7 @@ mod tests {
 
     const ITER: &str = concat!(
         "{\"seq\":0,\"event\":\"run_start\",\"sequences\":40,\"alphabet_size\":4,",
-        "\"threads\":2,\"scan_mode\":\"incremental\",\"scan_kernel\":\"compiled\",\"seed\":7,",
+        "\"threads\":2,\"scan_mode\":\"incremental\",\"seed\":7,",
         "\"initial_log_t\":0.5}\n",
         "{\"seq\":1,\"event\":\"iteration\",\"iteration\":0,\"clusters_live\":3,",
         "\"pairs_scored\":120,\"pairs_pruned\":10,\"log_t\":0.25,\"phase_nanos\":",
@@ -451,7 +453,7 @@ mod tests {
         let replay = read_trace_str(ITER).unwrap();
         let text = render_summary(&replay);
         assert!(text.contains("run: 40 sequences"), "{text}");
-        assert!(text.contains("incremental/compiled"));
+        assert!(text.contains("scan incremental, seed 7"));
         assert!(text.contains("run still in progress"));
         assert!(text.contains("approximate"));
         assert!(text.contains("latest iteration 0: 3 clusters, log_t 0.2500"));

@@ -32,7 +32,7 @@ fn workload() -> SequenceDatabase {
     clustered_db(120, 3, 90, 30, 0.05, 77)
 }
 
-fn params(mode: ScanMode, kernel: ScanKernel, threads: usize) -> CluseqParams {
+fn params(mode: ScanMode, threads: usize) -> CluseqParams {
     CluseqParams::default()
         .with_initial_clusters(3)
         .with_significance(6)
@@ -40,39 +40,34 @@ fn params(mode: ScanMode, kernel: ScanKernel, threads: usize) -> CluseqParams {
         .with_max_iterations(10)
         .with_seed(5)
         .with_scan_mode(mode)
-        .with_scan_kernel(kernel)
         .with_threads(threads)
 }
 
 // ---- byte-identity -----------------------------------------------------
 
-/// The tentpole invariant: across both scan modes, both kernels, and
-/// serial/parallel scoring, the incremental engine reproduces the full
-/// rescoring run exactly. The full reference is computed once per
-/// (mode, kernel) at one thread — determinism across threads is already
-/// proven by the determinism suite, so any incremental divergence at four
-/// threads is the cache's fault, not the thread pool's.
+/// The tentpole invariant: across both scan modes and serial/parallel
+/// scoring, the incremental engine reproduces the full rescoring run
+/// exactly. The full reference is computed once per mode at one thread —
+/// determinism across threads is already proven by the determinism
+/// suite, so any incremental divergence at four threads is the cache's
+/// fault, not the thread pool's.
 #[test]
 fn incremental_runs_are_byte_identical_to_full_rescoring() {
     let db = workload();
     for mode in [ScanMode::Incremental, ScanMode::Snapshot] {
-        for kernel in [ScanKernel::Interpreted, ScanKernel::Compiled] {
-            let reference = observe(&Cluseq::new(params(mode, kernel, 1)).run(&db));
-            assert!(
-                !reference.memberships.is_empty(),
-                "{mode:?}/{kernel:?}: the reference run found no clusters — \
-                 the comparison would be vacuous"
+        let reference = observe(&Cluseq::new(params(mode, 1)).run(&db));
+        assert!(
+            !reference.memberships.is_empty(),
+            "{mode:?}: the reference run found no clusters — \
+             the comparison would be vacuous"
+        );
+        for threads in [1usize, 4] {
+            let incr = observe(&Cluseq::new(params(mode, threads).with_incremental(true)).run(&db));
+            assert_eq!(
+                incr, reference,
+                "{mode:?} with {threads} threads: the \
+                 incremental engine changed the clustering"
             );
-            for threads in [1usize, 4] {
-                let incr = observe(
-                    &Cluseq::new(params(mode, kernel, threads).with_incremental(true)).run(&db),
-                );
-                assert_eq!(
-                    incr, reference,
-                    "{mode:?}/{kernel:?} with {threads} threads: the \
-                     incremental engine changed the clustering"
-                );
-            }
         }
     }
 }
@@ -89,7 +84,6 @@ proptest! {
             (30usize..70, 2usize..4, 6u64..24, 0u64..500),
         run_seed in 0u64..100,
         snapshot in proptest::bool::ANY,
-        compiled in proptest::bool::ANY,
         threads in 1usize..5,
     ) {
         let db = clustered_db(sequences, clusters, 40, alphabet as usize, 0.0, data_seed);
@@ -100,7 +94,6 @@ proptest! {
             .with_max_iterations(6)
             .with_seed(run_seed)
             .with_scan_mode(if snapshot { ScanMode::Snapshot } else { ScanMode::Incremental })
-            .with_scan_kernel(if compiled { ScanKernel::Compiled } else { ScanKernel::Interpreted })
             .with_threads(threads);
 
         let full = observe(&Cluseq::new(p.clone()).run(&db));
@@ -118,8 +111,7 @@ proptest! {
 fn counters_are_zero_with_the_engine_off() {
     let db = workload();
     let mut report = RunReport::new();
-    Cluseq::new(params(ScanMode::Incremental, ScanKernel::Compiled, 1))
-        .run_observed(&db, &mut report);
+    Cluseq::new(params(ScanMode::Incremental, 1)).run_observed(&db, &mut report);
     assert!(!report.iterations.is_empty());
     for rec in &report.iterations {
         assert_eq!(rec.scan.pairs_reused, 0, "iteration {}", rec.iteration);
@@ -136,7 +128,7 @@ fn counters_are_zero_with_the_engine_off() {
 #[test]
 fn reused_plus_scored_equals_the_full_runs_work() {
     let db = workload();
-    let p = params(ScanMode::Incremental, ScanKernel::Compiled, 1);
+    let p = params(ScanMode::Incremental, 1);
 
     let mut full = RunReport::new();
     Cluseq::new(p.clone()).run_observed(&db, &mut full);
@@ -243,7 +235,7 @@ fn checkpoint_paths(dir: &Path) -> Vec<PathBuf> {
 fn kill_at_every_delta_boundary(mode: ScanMode, threads: usize, name: &str) {
     let dir = tmpdir(name);
     let db = workload();
-    let p = params(mode, ScanKernel::Compiled, threads)
+    let p = params(mode, threads)
         .with_incremental(true)
         .with_checkpoints(&dir, 1);
 
@@ -310,7 +302,7 @@ fn injected_failures_on_delta_writes_never_corrupt_the_chain() {
     let dir = tmpdir("delta-failpoints");
     let db = workload();
     Cluseq::new(
-        params(ScanMode::Incremental, ScanKernel::Compiled, 1)
+        params(ScanMode::Incremental, 1)
             .with_incremental(true)
             .with_checkpoints(&dir, 1),
     )
@@ -378,7 +370,7 @@ fn injected_failures_on_delta_writes_never_corrupt_the_chain() {
 fn a_resumed_incremental_run_rebuilds_a_loadable_chain() {
     let dir = tmpdir("delta-resume-rebuild");
     let db = workload();
-    let p = params(ScanMode::Incremental, ScanKernel::Compiled, 1)
+    let p = params(ScanMode::Incremental, 1)
         .with_incremental(true)
         .with_checkpoints(&dir, 1);
     let golden = Cluseq::new(p).run(&db);

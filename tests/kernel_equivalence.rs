@@ -1,44 +1,23 @@
-//! The kernel-equivalence gate: the four scan kernels behind
-//! `--scan-kernel` form a matrix of contracts, and every entry is proven
-//! here on random PSTs — before and after pruning, smoothed or not.
+//! The kernel-equivalence gate. The engine scans a model that can still
+//! change by walking its PST (the interpreted kernel) and a frozen model
+//! through its compiled automaton; the two must be byte-identical
+//! (`f64::to_bits`, not an epsilon) — same max log-ratio bits, same
+//! segment — and the compiled kernel's early exit may only skip pairs that
+//! are provably below the threshold.
 //!
-//! - **interpreted ↔ compiled**: byte-identical (`f64::to_bits`, not an
-//!   epsilon) — same max log-ratio bits, same segment.
-//! - **compiled ↔ batched**: byte-identical per lane, including *which*
-//!   lanes the threshold early-exit prunes; the batch driver only
-//!   interleaves lanes, it never changes a lane's arithmetic.
-//! - **quantized ↔ exact**: deterministic, and within the proven error
-//!   bound `scale · (⌈len/2⌉ + 1)` of the exact score; threshold
-//!   decisions agree whenever the exact score clears the threshold by
-//!   more than the bound.
-//! - **early exit (both exact and quantized)**: may only skip pairs that
-//!   are provably below the threshold — a pruned pair can never hide a
-//!   would-be join.
-//!
-//! A full-pipeline matrix at the bottom seals the same contracts
-//! end-to-end through seeding, re-clustering, and the final sweep.
+//! The proptests prove both contracts on random PSTs, before and after
+//! pruning, smoothed or not. The tests below them check the frozen-model
+//! call sites end to end against the PST walk: the final assignment sweep
+//! and the serve classifier. Seeding and the snapshot score pass carry the
+//! same check as unit tests next to their code
+//! (`seeding::tests::compiled_kernel_selects_identical_seeds`,
+//! `recluster::tests::compiled_kernel_scan_is_bit_identical_to_interpreted`).
 
 use proptest::prelude::*;
 
-use cluseq::core::{
-    max_similarity_compiled, max_similarity_compiled_batch, max_similarity_compiled_bounded,
-    max_similarity_pst, max_similarity_quantized, max_similarity_quantized_batch,
-    max_similarity_quantized_bounded, BoundedSimilarity,
-};
+use cluseq::core::{max_similarity_compiled, max_similarity_compiled_bounded, max_similarity_pst};
 use cluseq::prelude::*;
-use cluseq_test_utils::{arb_pst_workload, clustered_db, observe, PstWorkload};
-
-/// The lanes a workload feeds through the batch drivers: the probe, every
-/// training sequence re-used as a probe, and an empty lane — enough shape
-/// variety to exercise lanes retiring at different positions.
-fn lanes_of(w: &PstWorkload) -> Vec<Vec<Symbol>> {
-    let mut lanes = vec![w.probe_symbols()];
-    for seq in &w.training {
-        lanes.push(seq.iter().map(|&s| Symbol(s)).collect());
-    }
-    lanes.push(Vec::new());
-    lanes
-}
+use cluseq_test_utils::{arb_pst_workload, clustered_db};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -88,173 +67,11 @@ proptest! {
             }
         }
     }
-
-    /// compiled ↔ batched: every lane of the batch driver is
-    /// byte-identical to the single-sequence scan of that lane — same
-    /// bits, same segment, and the *same* prune verdicts — for any
-    /// threshold and any mix of lane lengths (including an empty lane).
-    #[test]
-    fn batched_scan_is_byte_identical_per_lane(
-        w in arb_pst_workload(),
-        threshold in prop::option::of(-5.0f64..200.0),
-    ) {
-        let (pst, background) = w.build();
-        let compiled = CompiledPst::compile(&pst, &background);
-        let lanes = lanes_of(&w);
-        let refs: Vec<&[Symbol]> = lanes.iter().map(Vec::as_slice).collect();
-        let batch = max_similarity_compiled_batch(&compiled, &refs, threshold);
-        prop_assert_eq!(batch.len(), refs.len());
-        for (lane, got) in batch.iter().enumerate() {
-            let single = match threshold {
-                Some(t) => max_similarity_compiled_bounded(&compiled, refs[lane], t),
-                None => BoundedSimilarity::Exact(max_similarity_compiled(&compiled, refs[lane])),
-            };
-            match (got, &single) {
-                (BoundedSimilarity::Exact(b), BoundedSimilarity::Exact(s)) => {
-                    prop_assert_eq!(
-                        b.log_sim.to_bits(),
-                        s.log_sim.to_bits(),
-                        "lane {} bits diverge: batched {} vs single {}",
-                        lane,
-                        b.log_sim,
-                        s.log_sim
-                    );
-                    prop_assert_eq!((b.start, b.end), (s.start, s.end), "lane {} segment", lane);
-                }
-                (BoundedSimilarity::Pruned, BoundedSimilarity::Pruned) => {}
-                (b, s) => {
-                    prop_assert!(false, "lane {lane} verdicts diverge: batched {b:?} vs single {s:?}");
-                }
-            }
-        }
-    }
-
-    /// quantized ↔ exact: the quantized score lands within the proven
-    /// bound `scale · (⌈len/2⌉ + 1)` of the exact score, and the `-∞`
-    /// verdict (no scorable segment) round-trips exactly — quantization
-    /// can blur a score but never invent or destroy one.
-    #[test]
-    fn quantized_error_is_within_the_proven_bound(w in arb_pst_workload()) {
-        let (pst, background) = w.build();
-        let probe = w.probe_symbols();
-        let exact = max_similarity_pst(&pst, &background, &probe);
-        let quantized = CompiledPst::compile(&pst, &background).quantize();
-        let approx = max_similarity_quantized(&quantized, &probe);
-        if exact.log_sim.is_infinite() {
-            prop_assert!(
-                approx.log_sim.is_infinite() && approx.log_sim < 0.0,
-                "exact is -inf but quantized scored {}",
-                approx.log_sim
-            );
-        } else {
-            let bound = quantized.error_bound(probe.len());
-            prop_assert!(
-                (exact.log_sim - approx.log_sim).abs() <= bound,
-                "quantized error {} exceeds the proven bound {} (exact {}, quantized {})",
-                (exact.log_sim - approx.log_sim).abs(),
-                bound,
-                exact.log_sim,
-                approx.log_sim
-            );
-        }
-    }
-
-    /// Threshold-decision agreement: whenever the exact score clears (or
-    /// misses) the threshold by more than the error bound, the quantized
-    /// kernel makes the *same* join/reject decision. Disagreement is only
-    /// possible inside the bound-wide band around the threshold — which
-    /// is exactly what EXPERIMENTS.md's methodology section documents.
-    #[test]
-    fn threshold_decisions_agree_outside_the_error_bound(
-        w in arb_pst_workload(),
-        threshold in -5.0f64..200.0,
-    ) {
-        let (pst, background) = w.build();
-        let probe = w.probe_symbols();
-        let exact = max_similarity_pst(&pst, &background, &probe);
-        let quantized = CompiledPst::compile(&pst, &background).quantize();
-        let approx = max_similarity_quantized(&quantized, &probe);
-        let bound = quantized.error_bound(probe.len());
-        if (exact.log_sim - threshold).abs() > bound {
-            prop_assert_eq!(
-                approx.log_sim >= threshold,
-                exact.log_sim >= threshold,
-                "decisions diverge outside the band: exact {} vs quantized {} at threshold {} (bound {})",
-                exact.log_sim,
-                approx.log_sim,
-                threshold,
-                bound
-            );
-        }
-    }
-
-    /// Quantized early-exit contract (slack-free by construction — the
-    /// integer bound is exact): the bounded scan either reproduces the
-    /// unbounded quantized result bit-for-bit, or prunes a pair whose
-    /// quantized score really is below the threshold.
-    #[test]
-    fn quantized_early_exit_never_lies(
-        w in arb_pst_workload(),
-        threshold in -5.0f64..200.0,
-    ) {
-        let (pst, background) = w.build();
-        let probe = w.probe_symbols();
-        let quantized = CompiledPst::compile(&pst, &background).quantize();
-        let full = max_similarity_quantized(&quantized, &probe);
-        match max_similarity_quantized_bounded(&quantized, &probe, threshold) {
-            BoundedSimilarity::Exact(sim) => {
-                prop_assert_eq!(sim.log_sim.to_bits(), full.log_sim.to_bits());
-                prop_assert_eq!((sim.start, sim.end), (full.start, full.end));
-            }
-            BoundedSimilarity::Pruned => {
-                prop_assert!(
-                    full.log_sim < threshold,
-                    "pruned a pair whose quantized score {} >= threshold {}",
-                    full.log_sim,
-                    threshold
-                );
-            }
-        }
-    }
-
-    /// quantized batch ↔ quantized single: the integer batch driver is
-    /// byte-identical per lane to the single-sequence quantized scan,
-    /// prune verdicts included.
-    #[test]
-    fn quantized_batch_is_byte_identical_per_lane(
-        w in arb_pst_workload(),
-        threshold in prop::option::of(-5.0f64..200.0),
-    ) {
-        let (pst, background) = w.build();
-        let quantized = CompiledPst::compile(&pst, &background).quantize();
-        let lanes = lanes_of(&w);
-        let refs: Vec<&[Symbol]> = lanes.iter().map(Vec::as_slice).collect();
-        let batch = max_similarity_quantized_batch(&quantized, &refs, threshold);
-        prop_assert_eq!(batch.len(), refs.len());
-        for (lane, got) in batch.iter().enumerate() {
-            let single = match threshold {
-                Some(t) => max_similarity_quantized_bounded(&quantized, refs[lane], t),
-                None => {
-                    BoundedSimilarity::Exact(max_similarity_quantized(&quantized, refs[lane]))
-                }
-            };
-            match (got, &single) {
-                (BoundedSimilarity::Exact(b), BoundedSimilarity::Exact(s)) => {
-                    prop_assert_eq!(b.log_sim.to_bits(), s.log_sim.to_bits(), "lane {}", lane);
-                    prop_assert_eq!((b.start, b.end), (s.start, s.end), "lane {} segment", lane);
-                }
-                (BoundedSimilarity::Pruned, BoundedSimilarity::Pruned) => {}
-                (b, s) => {
-                    prop_assert!(false, "lane {lane} verdicts diverge: batched {b:?} vs single {s:?}");
-                }
-            }
-        }
-    }
 }
 
-// ---- full-pipeline matrix ----------------------------------------------
+// ---- frozen-model call sites -------------------------------------------
 
-fn pipeline_params(mode: ScanMode, kernel: ScanKernel, threads: usize) -> CluseqParams {
+fn pipeline_params(mode: ScanMode, threads: usize) -> CluseqParams {
     CluseqParams::default()
         .with_initial_clusters(3)
         .with_significance(6)
@@ -262,65 +79,76 @@ fn pipeline_params(mode: ScanMode, kernel: ScanKernel, threads: usize) -> Cluseq
         .with_max_iterations(10)
         .with_seed(5)
         .with_scan_mode(mode)
-        .with_scan_kernel(kernel)
         .with_threads(threads)
 }
 
-/// End-to-end seal on the exact side of the matrix: under both scan
-/// modes, the interpreted, compiled, and batched kernels produce
-/// byte-identical outcomes — memberships, thresholds (as raw bits),
-/// history — at every thread count.
+/// The final sweep scores every sequence against the frozen final models
+/// through compiled automata with early exit: its memberships and best
+/// clusters must be exactly what the PST walk decides.
 #[test]
-fn full_pipeline_exact_kernels_are_byte_identical() {
+fn final_sweep_matches_the_pst_walk() {
     let db = clustered_db(120, 3, 90, 30, 0.05, 77);
     for mode in [ScanMode::Incremental, ScanMode::Snapshot] {
-        let reference =
-            observe(&Cluseq::new(pipeline_params(mode, ScanKernel::Compiled, 1)).run(&db));
-        assert!(
-            !reference.memberships.is_empty(),
-            "{mode:?}: the reference run found no clusters — the matrix \
-             comparison would be vacuous"
-        );
-        for kernel in [
-            ScanKernel::Interpreted,
-            ScanKernel::Compiled,
-            ScanKernel::Batched,
-        ] {
-            for threads in [1usize, 4] {
-                let got = observe(&Cluseq::new(pipeline_params(mode, kernel, threads)).run(&db));
-                assert_eq!(
-                    got, reference,
-                    "{mode:?}/{kernel:?} with {threads} threads diverged from \
-                     the compiled serial run"
-                );
+        for threads in [1usize, 4] {
+            let outcome = Cluseq::new(pipeline_params(mode, threads)).run(&db);
+            let what = format!("{mode:?} with {threads} threads");
+            assert!(outcome.cluster_count() > 0, "{what}: no clusters");
+            let mut members = vec![Vec::new(); outcome.cluster_count()];
+            let mut best = vec![None; db.len()];
+            for (id, seq, _) in db.iter() {
+                let mut best_sim = f64::NEG_INFINITY;
+                for (slot, cluster) in outcome.clusters.iter().enumerate() {
+                    let sim = max_similarity_pst(&cluster.pst, &outcome.background, seq.symbols());
+                    if sim.log_sim >= outcome.final_log_t && !seq.is_empty() {
+                        members[slot].push(id);
+                        if sim.log_sim > best_sim {
+                            best_sim = sim.log_sim;
+                            best[id] = Some(slot);
+                        }
+                    }
+                }
             }
+            assert_eq!(outcome.membership_lists(), members, "{what}: memberships");
+            assert_eq!(outcome.best_cluster, best, "{what}: best clusters");
         }
     }
 }
 
-/// End-to-end seal on the quantized corner: the quantized kernel is a
-/// *deterministic* approximation — its outcome is byte-stable across
-/// thread counts and across scan modes' serial/parallel drivers, and it
-/// still finds a non-trivial clustering on a plainly clustered workload.
+/// `ServeModel::classify` scores the served (frozen) model through
+/// compiled automata: every score, segment, and the ranking must equal
+/// the PST walk's, bit for bit.
 #[test]
-fn full_pipeline_quantized_kernel_is_deterministic() {
+fn serve_classify_matches_the_pst_walk() {
     let db = clustered_db(120, 3, 90, 30, 0.05, 77);
-    for mode in [ScanMode::Incremental, ScanMode::Snapshot] {
-        let reference =
-            observe(&Cluseq::new(pipeline_params(mode, ScanKernel::Quantized, 1)).run(&db));
-        assert!(
-            !reference.memberships.is_empty(),
-            "{mode:?}: the quantized run found no clusters"
-        );
-        for threads in [2usize, 4, 8] {
-            let got = observe(
-                &Cluseq::new(pipeline_params(mode, ScanKernel::Quantized, threads)).run(&db),
-            );
-            assert_eq!(
-                got, reference,
-                "{mode:?} quantized run with {threads} threads diverged from \
-                 the serial quantized run"
-            );
+    let outcome = Cluseq::new(pipeline_params(ScanMode::Incremental, 1)).run(&db);
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("kernel_equivalence");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("model.cseq");
+    let saved = SavedModel::from_outcome(&outcome);
+    saved
+        .save(&mut std::fs::File::create(&path).expect("create model file"))
+        .expect("save model");
+    let served = ServeModel::load(&path, None, ScanKernel::Compiled, 1).expect("load model");
+    assert!(!served.automata.is_empty(), "the served model is compiled");
+    for (_, seq, _) in db.iter() {
+        let mut want: Vec<(usize, SegmentSimilarity)> = saved
+            .clusters
+            .iter()
+            .enumerate()
+            .map(|(k, c)| {
+                (
+                    k,
+                    max_similarity_pst(&c.pst, &saved.background, seq.symbols()),
+                )
+            })
+            .collect();
+        want.sort_by(|a, b| b.1.log_sim.total_cmp(&a.1.log_sim));
+        let got = served.classify(seq.symbols());
+        assert_eq!(got.len(), want.len());
+        for ((gk, g), (wk, w)) in got.iter().zip(&want) {
+            assert_eq!(gk, wk);
+            assert_eq!(g.log_sim.to_bits(), w.log_sim.to_bits());
+            assert_eq!((g.start, g.end), (w.start, w.end));
         }
     }
 }

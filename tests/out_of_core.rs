@@ -5,8 +5,8 @@
 //! clustering run reads its corpus through the [`SequenceStore`] trait,
 //! and every backend — the in-memory [`SequenceDatabase`] or the
 //! file-backed [`FileStore`] streaming CSEQ v2 through a bounded window —
-//! must produce byte-for-byte identical outcomes, across every scan
-//! kernel, thread count, and scan-shard size. The saved model
+//! must produce byte-for-byte identical outcomes, across every thread
+//! count, scan-shard size, and model-cache budget. The saved model
 //! ([`SavedModel`]) must also serialize to identical bytes, because a
 //! model trained out-of-core is promised to be interchangeable with one
 //! trained in memory. Finally, a checkpoint taken under one backend must
@@ -33,7 +33,7 @@ fn workload() -> SequenceDatabase {
     clustered_db(160, 4, 90, 50, 0.05, 91)
 }
 
-fn params(kernel: ScanKernel, threads: usize, shard: Option<usize>) -> CluseqParams {
+fn params(threads: usize, shard: Option<usize>) -> CluseqParams {
     let mut p = CluseqParams::default()
         .with_initial_clusters(4)
         .with_significance(7)
@@ -41,7 +41,6 @@ fn params(kernel: ScanKernel, threads: usize, shard: Option<usize>) -> CluseqPar
         .with_max_iterations(8)
         .with_seed(13)
         .with_scan_mode(ScanMode::Snapshot)
-        .with_scan_kernel(kernel)
         .with_threads(threads);
     if let Some(s) = shard {
         p = p.with_scan_shard(s);
@@ -59,14 +58,14 @@ fn model_bytes(outcome: &CluseqOutcome) -> Vec<u8> {
 }
 
 #[test]
-fn store_kernel_threads_and_shard_grid_is_byte_identical() {
+fn store_threads_and_shard_grid_is_byte_identical() {
     let dir = tmpdir("ooc_grid");
     let db = workload();
     let path = dir.join("corpus.cseq");
     write_indexed(&db, &path).expect("write corpus");
     let fs = FileStore::open(&path).expect("open corpus");
 
-    let reference_outcome = Cluseq::new(params(ScanKernel::Compiled, 1, None)).run(&db);
+    let reference_outcome = Cluseq::new(params(1, None)).run(&db);
     let reference = observe(&reference_outcome);
     let reference_model = model_bytes(&reference_outcome);
     assert!(
@@ -74,30 +73,28 @@ fn store_kernel_threads_and_shard_grid_is_byte_identical() {
         "the reference run found no clusters — the identity check would be vacuous"
     );
 
-    // A diagonal through the store × kernel × threads × shard space:
-    // every *exact* kernel appears (Quantized is approximate by contract —
-    // see kernel_equivalence.rs — so it has no byte-identity claim), both
-    // thread counts, sharded and unsharded, and a cache budget small
-    // enough to force evictions on two cells.
-    let cells: [(ScanKernel, usize, Option<usize>, Option<usize>); 5] = [
-        (ScanKernel::Compiled, 4, None, None),
-        (ScanKernel::Compiled, 4, Some(32), Some(1)),
-        (ScanKernel::Interpreted, 1, Some(32), None),
-        (ScanKernel::Batched, 4, Some(17), None),
-        (ScanKernel::Batched, 1, None, Some(1)),
+    // A diagonal through the store × threads × shard space: both thread
+    // counts, sharded and unsharded, and a cache budget small enough to
+    // force evictions on two cells.
+    let cells: [(usize, Option<usize>, Option<usize>); 5] = [
+        (4, None, None),
+        (4, Some(32), Some(1)),
+        (1, Some(32), None),
+        (4, Some(17), None),
+        (1, None, Some(1)),
     ];
     for backend in ["memory", "file"] {
         let store: &dyn SequenceStore = match backend {
             "memory" => &db,
             _ => &fs,
         };
-        for (kernel, threads, shard, cache_mb) in cells {
-            let mut p = params(kernel, threads, shard);
+        for (threads, shard, cache_mb) in cells {
+            let mut p = params(threads, shard);
             if let Some(mb) = cache_mb {
                 p = p.with_model_cache_mb(mb);
             }
             let outcome = Cluseq::new(p).run(store);
-            let what = format!("{backend}/{kernel:?}/t{threads}/shard{shard:?}");
+            let what = format!("{backend}/t{threads}/shard{shard:?}/cache{cache_mb:?}");
             assert_eq!(
                 observe(&outcome),
                 reference,
@@ -122,8 +119,8 @@ fn tiny_read_window_changes_nothing_but_io() {
     write_indexed(&db, &path).expect("write corpus");
     let tiny = FileStore::open_windowed(&path, 4096).expect("open windowed");
 
-    let reference = observe(&Cluseq::new(params(ScanKernel::Compiled, 4, Some(32))).run(&db));
-    let got = observe(&Cluseq::new(params(ScanKernel::Compiled, 4, Some(32))).run(&tiny));
+    let reference = observe(&Cluseq::new(params(4, Some(32))).run(&db));
+    let got = observe(&Cluseq::new(params(4, Some(32))).run(&tiny));
     assert_eq!(got, reference, "4 KiB window diverged from in-memory run");
 }
 
@@ -138,10 +135,10 @@ fn checkpoint_crosses_store_backends_without_drift() {
     write_indexed(&db, &path).expect("write corpus");
     let fs = FileStore::open(&path).expect("open corpus");
 
-    let golden = observe(&Cluseq::new(params(ScanKernel::Compiled, 1, None)).run(&db));
+    let golden = observe(&Cluseq::new(params(1, None)).run(&db));
 
     let ckpt_dir = dir.join("ckpt");
-    let p = params(ScanKernel::Compiled, 1, None).with_checkpoints(&ckpt_dir, 1);
+    let p = params(1, None).with_checkpoints(&ckpt_dir, 1);
     let _ = Cluseq::new(p).run(&db);
     let mut files: Vec<PathBuf> = fs::read_dir(&ckpt_dir)
         .expect("checkpoint dir")

@@ -4,7 +4,7 @@
 //! The contract (see DESIGN.md, "Observability"):
 //!
 //! * clustering output is **byte-identical** with tracing on vs off, for
-//!   every scan kernel and thread count;
+//!   both scan modes (so both scan kernels) and any thread count;
 //! * registry counter totals equal the [`RunReport`] telemetry counters
 //!   and are bit-identical across thread counts;
 //! * every JSONL event parses, carries its schema's required fields, and
@@ -40,14 +40,14 @@ fn workload() -> SequenceDatabase {
     .generate()
 }
 
-fn params(kernel: ScanKernel, threads: usize) -> CluseqParams {
+fn params(mode: ScanMode, threads: usize) -> CluseqParams {
     CluseqParams::default()
         .with_initial_clusters(3)
         .with_significance(6)
         .with_max_depth(5)
         .with_max_iterations(10)
         .with_seed(5)
-        .with_scan_kernel(kernel)
+        .with_scan_mode(mode)
         .with_threads(threads)
 }
 
@@ -72,14 +72,16 @@ fn assert_same_outcome(golden: &CluseqOutcome, other: &CluseqOutcome, what: &str
 // ---- tracing is a pure observer ----------------------------------------
 
 /// The acceptance matrix: tracing on vs off across both kernels and 1/4
-/// threads, including byte-identity of the telemetry counters.
+/// threads, including byte-identity of the telemetry counters. The
+/// kernel follows the scan mode — the incremental scan walks the PSTs,
+/// the snapshot scan compiles them — so the mode axis covers both.
 #[test]
 fn traced_run_is_byte_identical_across_kernels_and_threads() {
     let db = workload();
-    for kernel in [ScanKernel::Interpreted, ScanKernel::Compiled] {
+    for mode in [ScanMode::Incremental, ScanMode::Snapshot] {
         for threads in [1, 4] {
-            let what = format!("{kernel:?} x {threads} threads");
-            let runner = Cluseq::new(params(kernel, threads));
+            let what = format!("{mode:?} x {threads} threads");
+            let runner = Cluseq::new(params(mode, threads));
 
             let mut plain_report = RunReport::new();
             let plain = runner.run_observed(&db, &mut plain_report);
@@ -105,8 +107,7 @@ fn registry_counters_match_telemetry_and_thread_counts() {
     let db = workload();
     let mut baseline: Option<Vec<u64>> = None;
     for threads in [1, 4] {
-        let runner =
-            Cluseq::new(params(ScanKernel::Compiled, threads).with_scan_mode(ScanMode::Snapshot));
+        let runner = Cluseq::new(params(ScanMode::Snapshot, threads));
         let session = TraceSession::in_memory();
         let mut report = RunReport::new();
         let outcome = runner.run_traced(&db, &mut report, Some(&session));
@@ -185,7 +186,7 @@ fn traced_checkpointed_run(dir: &Path, trace_path: &Path) -> CluseqOutcome {
         metrics_addr: None,
     };
     let session = TraceSession::start(&config).expect("open trace");
-    let p = params(ScanKernel::Compiled, 2).with_checkpoints(dir, 1);
+    let p = params(ScanMode::Incremental, 2).with_checkpoints(dir, 1);
     Cluseq::new(p).run_traced(&db, &mut NoopObserver, Some(&session))
 }
 
@@ -207,7 +208,6 @@ fn jsonl_stream_is_schema_valid_with_monotone_seq() {
                 "alphabet_size",
                 "threads",
                 "scan_mode",
-                "scan_kernel",
                 "seed",
                 "initial_log_t",
             ],
